@@ -28,17 +28,18 @@ from .records import (
     write_campaign_record,
 )
 from .runner import (
-    CELL_RUNNERS,
+    EXPERIMENTS,
     CampaignOutcome,
     CampaignRunner,
     CellResult,
+    Experiment,
     cell_payload,
+    run_experiment,
 )
 
 __all__ = [
     "CAMPAIGN_RECORD_SCHEMA_VERSION",
     "CAMPAIGN_SCHEMA_VERSION",
-    "CELL_RUNNERS",
     "CampaignCell",
     "CampaignConfig",
     "CampaignConfigError",
@@ -46,6 +47,8 @@ __all__ = [
     "CampaignRecord",
     "CampaignRunner",
     "CellResult",
+    "EXPERIMENTS",
+    "Experiment",
     "StopCriteria",
     "cell_payload",
     "config_digest",
@@ -55,5 +58,6 @@ __all__ = [
     "load_campaign",
     "load_campaign_record",
     "parse_campaign",
+    "run_experiment",
     "write_campaign_record",
 ]

@@ -11,7 +11,11 @@ import dataclasses
 import signal
 from pathlib import Path
 
-from ..runtime.errors import CampaignConfigError, JournalError
+from ..runtime.errors import (
+    CampaignConfigError,
+    JournalError,
+    JournalMismatchError,
+)
 from ..runtime.records import default_runs_dir, format_run_listing
 from ..runtime.telemetry import metrics, telemetry
 from .config import config_digest, expand_cells, load_campaign
@@ -139,12 +143,15 @@ def _run(args, log) -> int:
         outcome = runner.run(resume=args.resume)
     except JournalError as exc:
         log.error("cannot open campaign journal: %s", exc)
-        log.error(
-            "the journal at %s belongs to a different campaign config; "
-            "pass --journal <fresh-path> to start a new sweep, or re-run "
-            "with the config whose digest the journal records",
-            runner.journal_path,
-        )
+        if isinstance(exc, JournalMismatchError):
+            log.error(
+                "the journal at %s belongs to a different campaign config; "
+                "pass --journal <fresh-path> to start a new sweep, or re-run "
+                "with the config whose digest the journal records",
+                runner.journal_path,
+            )
+        else:
+            log.error("pass --journal <fresh-path> to start a new sweep")
         return 2
     finally:
         _restore_signal_handlers(previous)

@@ -66,9 +66,9 @@ _PRESET_NAMES = ("fast", "default", "paper")
 
 def known_experiments() -> "tuple[str, ...]":
     """Experiment ids a campaign cell may name (the paper's runners)."""
-    from .runner import CELL_RUNNERS
+    from .runner import EXPERIMENTS
 
-    return tuple(CELL_RUNNERS)
+    return tuple(EXPERIMENTS)
 
 
 @dataclass(frozen=True)

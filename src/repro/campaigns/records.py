@@ -110,7 +110,8 @@ def latest_campaign_record_path(
 
 
 def format_campaign_record(record: CampaignRecord) -> str:
-    """Human-readable rendering with a per-cell matrix table."""
+    """Human-readable rendering: a per-cell matrix table, then the
+    traceback of every failed cell."""
     outcome = record.outcome or {}
     lines = [
         f"campaign record: {record.name}",
@@ -141,6 +142,11 @@ def format_campaign_record(record: CampaignRecord) -> str:
                 f"{cell.get('wall_time_s', 0.0):>7.2f}s  "
                 f"{_headline(cell)}"
             )
+    for cell in record.cells:
+        if cell.get("status") == "failed" and cell.get("traceback"):
+            lines.append("")
+            lines.append(f"--- traceback: {cell.get('key', '?')} ---")
+            lines.append(cell["traceback"].rstrip())
     return "\n".join(lines)
 
 

@@ -1,12 +1,18 @@
 """Campaign execution: grid cells -> pool tasks -> journal -> record.
 
-``CampaignRunner`` expands a validated config into
+:data:`EXPERIMENTS` is the one experiment table (description, runner
+and formatter per paper experiment) and :func:`run_experiment` runs an
+entry on a fresh context: ``repro run <exp>`` prints the formatted
+rows, campaign cells record the metrics.
+
+``CampaignRunner`` is the only sweep path (``examples/campaigns/all.yaml``
+sweeps every experiment).  It expands a validated config into
 :class:`~repro.campaigns.config.CampaignCell` tasks, runs them over the
 supervised worker pool (``workers=1`` degrades to the serial in-process
-path), checkpoints every terminal outcome in the fsynced sweep journal —
-so a SIGKILL mid-campaign loses at most the in-flight cells and
-``--resume`` skips finished ones — and aggregates everything into one
-atomic campaign record.
+path), checkpoints each terminal outcome in the fsynced sweep journal
+as the pool reports it — so a SIGINT or SIGKILL mid-campaign loses at
+most the in-flight cells and ``--resume`` skips finished ones — and
+aggregates everything into one atomic campaign record.
 
 Cells return *metrics*, not formatted text: :func:`cell_payload` maps
 each runner's result dataclass to a JSON-able dict split into
@@ -52,6 +58,18 @@ from ..eval.experiments import (
     run_trigger_size_frames_sweep,
     run_trigger_size_injection_sweep,
 )
+from ..eval.presets import ExperimentPreset
+from ..eval.reporting import (
+    format_ablation,
+    format_confusion_matrix,
+    format_defense,
+    format_full_sweep,
+    format_histogram,
+    format_robustness,
+    format_spectral_defense,
+    format_stealth,
+    format_throughput,
+)
 from ..runtime.journal import SweepJournal
 from ..runtime.logging import get_logger
 from ..runtime.pool import PoolConfig, PoolTask, TaskResult, run_tasks
@@ -68,25 +86,107 @@ from .records import CampaignRecord, write_campaign_record
 
 _log = get_logger("campaigns.runner")
 
-#: experiment id -> raw runner (result dataclass, not formatted text).
-#: Same ids as the CLI's EXPERIMENTS table; campaigns consume metrics.
-CELL_RUNNERS: "dict[str, Callable[[ExperimentContext], Any]]" = {
-    "fig3": run_frame_importance,
-    "fig5": run_heatmap_stealth,
-    "fig7": run_clean_prototype,
-    "fig8": lambda ctx: run_injection_rate_sweep(ctx, SIMILAR_SCENARIOS),
-    "fig9": lambda ctx: run_poisoned_frames_sweep(ctx, SIMILAR_SCENARIOS),
-    "fig10": lambda ctx: run_injection_rate_sweep(ctx, DISSIMILAR_SCENARIOS),
-    "fig11": lambda ctx: run_poisoned_frames_sweep(ctx, DISSIMILAR_SCENARIOS),
-    "fig12": run_trigger_size_injection_sweep,
-    "fig13": run_trigger_size_frames_sweep,
-    "fig14": run_angle_robustness,
-    "fig15": run_distance_robustness,
-    "table1": run_ablation,
-    "sec6d": run_simulator_throughput,
-    "sec7": run_defenses,
-    "spectral": run_spectral_defense,
+
+@dataclass(frozen=True)
+class Experiment:
+    """One paper experiment: what it shows, how to run it, how to print it."""
+
+    description: str
+    #: ``runner(context)`` returns the result dataclass campaigns record.
+    runner: "Callable[[ExperimentContext], Any]"
+    #: ``formatter(result)`` renders the rows ``repro run`` prints.
+    formatter: "Callable[[Any], str]" = str
+
+
+#: experiment id -> :class:`Experiment`: the one table behind
+#: ``repro list``, ``repro run <exp>`` and every campaign cell.  The
+#: lambdas look their runner up in this module at call time, so a
+#: patched module attribute (a tracer's wrapper) reaches them.
+EXPERIMENTS: "dict[str, Experiment]" = {
+    "fig3": Experiment(
+        "Most-important-frame index histogram (SHAP)",
+        run_frame_importance, format_histogram,
+    ),
+    "fig5": Experiment(
+        "DRAI heatmaps with vs without a trigger (stealth)",
+        run_heatmap_stealth, format_stealth,
+    ),
+    "fig7": Experiment(
+        "Clean prototype confusion matrix",
+        run_clean_prototype, format_confusion_matrix,
+    ),
+    "fig8": Experiment(
+        "ASR/UASR/CDR vs injection rate (similar trajectory)",
+        lambda ctx: run_injection_rate_sweep(ctx, SIMILAR_SCENARIOS),
+        format_full_sweep,
+    ),
+    "fig9": Experiment(
+        "ASR/UASR/CDR vs #poisoned frames (similar trajectory)",
+        lambda ctx: run_poisoned_frames_sweep(ctx, SIMILAR_SCENARIOS),
+        format_full_sweep,
+    ),
+    "fig10": Experiment(
+        "ASR/UASR/CDR vs injection rate (dissimilar trajectory)",
+        lambda ctx: run_injection_rate_sweep(ctx, DISSIMILAR_SCENARIOS),
+        format_full_sweep,
+    ),
+    "fig11": Experiment(
+        "ASR/UASR/CDR vs #poisoned frames (dissimilar trajectory)",
+        lambda ctx: run_poisoned_frames_sweep(ctx, DISSIMILAR_SCENARIOS),
+        format_full_sweep,
+    ),
+    "fig12": Experiment(
+        "Trigger size comparison over injection rates",
+        run_trigger_size_injection_sweep, format_full_sweep,
+    ),
+    "fig13": Experiment(
+        "Trigger size comparison over #poisoned frames",
+        run_trigger_size_frames_sweep, format_full_sweep,
+    ),
+    "fig14": Experiment(
+        "ASR vs attacker angle (seen + zero-shot)",
+        run_angle_robustness, format_robustness,
+    ),
+    "fig15": Experiment(
+        "ASR vs attacker distance (seen + zero-shot)",
+        run_distance_robustness, format_robustness,
+    ),
+    "table1": Experiment(
+        "Module ablation + under-clothing triggers",
+        run_ablation, format_ablation,
+    ),
+    "sec6d": Experiment(
+        "RF simulator throughput",
+        run_simulator_throughput, format_throughput,
+    ),
+    "sec7": Experiment(
+        "Defenses: trigger detection + augmentation",
+        run_defenses, format_defense,
+    ),
+    "spectral": Experiment(
+        "Extension: spectral-signature poison filtering",
+        run_spectral_defense, format_spectral_defense,
+    ),
 }
+
+
+def run_experiment(
+    name: str,
+    preset: ExperimentPreset,
+    seed: int,
+    use_disk_cache: bool = True,
+    workers: int = 1,
+) -> Any:
+    """Run table entry ``name`` on a fresh :class:`ExperimentContext`.
+
+    The one entry point behind ``repro run <exp>`` and every campaign
+    cell.  A fresh context per call means a result never depends on
+    which experiments ran before it in the same process.
+    """
+    context = ExperimentContext(
+        preset, seed=seed, use_disk_cache=use_disk_cache, workers=workers
+    )
+    return EXPERIMENTS[name].runner(context)
 
 
 def _listed(value) -> object:
@@ -209,22 +309,19 @@ def _campaign_cell_task(
 ) -> dict:
     """Pool-worker entry point: run one cell in a fresh context.
 
-    Module-level and picklable; workers rebuild their own
-    :class:`ExperimentContext` with ``workers=1`` so a pooled campaign
-    never nests a second pool inside a cell.  The resolved preset (base
-    preset + overrides) matches :meth:`CampaignCell.resolved_preset`, so
-    a cell is bit-identical to the equivalent hand-written invocation.
+    Module-level and picklable; cells run with ``workers=1`` so a pooled
+    campaign never nests a second pool inside a cell.  The resolved
+    preset (base preset + overrides) matches
+    :meth:`CampaignCell.resolved_preset`, so a cell is bit-identical to
+    the equivalent hand-written invocation.
     """
     cell = CampaignCell(
         index=0, experiment=experiment, preset=preset_name, seed=seed,
         overrides=overrides,
     )
-    context = ExperimentContext(
-        cell.resolved_preset(), seed=seed,
-        use_disk_cache=use_disk_cache, workers=1,
-    )
+    preset = cell.resolved_preset()
     with span("campaign.cell", experiment=experiment, seed=seed):
-        result = CELL_RUNNERS[experiment](context)
+        result = run_experiment(experiment, preset, seed, use_disk_cache)
     return cell_payload(result)
 
 
@@ -244,6 +341,7 @@ class CellResult:
     wall_time_s: float = 0.0
     attempts: int = 0
     error: "str | None" = None
+    traceback: str = ""
     resumed: bool = False
 
     def as_dict(self) -> dict:
@@ -348,8 +446,7 @@ class CampaignRunner:
         for cell in cells:
             entry = journal.entry(cell.key)
             if cell.key in completed and entry is not None:
-                payload = entry.get("payload") or {}
-                results.append(self._from_journal(cell, entry, payload))
+                results.append(self._from_journal(cell, entry, resumed=True))
                 metrics().counter("campaign.cells_resumed").inc()
             else:
                 pending.append(cell)
@@ -359,41 +456,41 @@ class CampaignRunner:
                 self.config.name, len(results), len(cells),
             )
 
+        by_key = {cell.key: cell for cell in pending}
+
+        def journal_cell(task_result: TaskResult) -> None:
+            # The pool calls this as each cell ends, so an interrupt
+            # mid-wave keeps every cell that finished before it.
+            cell = by_key[task_result.key]
+            result = self._from_task(cell, task_result)
+            journal.record(
+                result.key,
+                result.status,
+                payload={
+                    "cell": cell.spec(),
+                    "metrics": result.metrics,
+                    "measured": result.measured,
+                    "error": result.error,
+                    "traceback": result.traceback,
+                },
+                attempts=result.attempts,
+                wall_time_s=result.wall_time_s,
+            )
+            results.append(result)
+
         max_failures = self.config.stop.max_failures
-        failures = sum(1 for r in results if r.status == "failed")
         interrupted = False
         stopped = False
-        index = 0
         # Dispatch in pool-sized waves so stop criteria apply between
         # waves without needing mid-flight cancellation support.
-        wave = max(1, self.workers) * 2
+        wave = self.workers * 2
         try:
-            while index < len(pending):
+            for start in range(0, len(pending), wave):
+                failures = sum(1 for r in results if r.status == "failed")
                 if max_failures is not None and failures >= max_failures:
                     stopped = True
                     break
-                batch = pending[index:index + wave]
-                index += len(batch)
-                for task_result in self._run_batch(batch):
-                    cell = next(
-                        c for c in batch if c.key == task_result.key
-                    )
-                    result = self._from_task(cell, task_result)
-                    journal.record(
-                        result.key,
-                        "done" if result.status == "done" else "failed",
-                        payload={
-                            "cell": cell.spec(),
-                            "metrics": result.metrics,
-                            "measured": result.measured,
-                            "error": result.error,
-                        },
-                        attempts=result.attempts,
-                        wall_time_s=result.wall_time_s,
-                    )
-                    results.append(result)
-                    if result.status == "failed":
-                        failures += 1
+                self._run_batch(pending[start:start + wave], journal_cell)
         except KeyboardInterrupt:
             interrupted = True
             _log.warning(
@@ -401,13 +498,25 @@ class CampaignRunner:
                 self.config.name, self.journal_path,
                 len(journal.completed_keys()),
             )
-        done_keys = {result.key for result in results}
+        collected = {result.key for result in results}
+        completed = journal.completed_keys()
         for cell in cells:
-            if cell.key not in done_keys:
+            if cell.key in collected:
+                continue
+            if cell.key in completed:
+                # Journaled done, but the interrupt landed before the
+                # callback collected it: the record follows the journal.
+                entry = journal.entry(cell.key)
+                results.append(self._from_journal(cell, entry, resumed=False))
+            else:
                 results.append(self._skipped(cell, interrupted, stopped))
         return results, interrupted, stopped
 
-    def _run_batch(self, batch: "list[CampaignCell]") -> "list[TaskResult]":
+    def _run_batch(
+        self,
+        batch: "list[CampaignCell]",
+        on_result: "Callable[[TaskResult], None]",
+    ) -> None:
         tasks = [
             PoolTask(
                 key=cell.key,
@@ -420,7 +529,7 @@ class CampaignRunner:
             for cell in batch
         ]
         config = self.pool_config or PoolConfig(workers=self.workers)
-        return run_tasks(tasks, config)
+        run_tasks(tasks, config, on_result=on_result)
 
     # ------------------------------------------------------------------
     def _from_task(
@@ -441,11 +550,13 @@ class CampaignRunner:
             wall_time_s=task_result.wall_time_s,
             attempts=task_result.attempts,
             error=task_result.error,
+            traceback=task_result.traceback,
         )
 
     def _from_journal(
-        self, cell: CampaignCell, entry: dict, payload: dict
+        self, cell: CampaignCell, entry: dict, resumed: bool
     ) -> CellResult:
+        payload = entry.get("payload") or {}
         return CellResult(
             key=cell.key,
             index=cell.index,
@@ -458,7 +569,7 @@ class CampaignRunner:
             overrides=dict(cell.overrides),
             wall_time_s=entry.get("wall_time_s", 0.0),
             attempts=entry.get("attempts", 0),
-            resumed=True,
+            resumed=resumed,
         )
 
     def _skipped(

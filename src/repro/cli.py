@@ -5,9 +5,9 @@ Examples::
     python -m repro list
     python -m repro run fig7 --preset fast
     python -m repro run fig8 --preset default --seed 1
-    python -m repro -v run all --preset fast --report sweep-report.txt
     python -m repro run sec6d --trace trace.json --metrics metrics.jsonl
     python -m repro stats
+    python -m repro campaign run examples/campaigns/all.yaml --workers 2
     python -m repro campaign validate examples/campaigns/sec6d_tiny.yaml
     python -m repro campaign run examples/campaigns/sec6d_tiny.yaml --resume
     python -m repro publish --registry registry/ --preset fast --detector
@@ -19,27 +19,20 @@ Examples::
 registry + micro-batching HTTP server + load-generating client); see
 ``repro.serve`` and the README's Serving section.  ``dashboard`` is the
 read-only control plane over everything the other verbs emit — run
-records, BENCH_*.json trajectories, sweep journals, and a live server's
-fleet metrics (see ``repro.dashboard`` and the README's Dashboard
-section).  ``campaign`` runs YAML-defined experiment grids with
-journaled crash-safe resume (see ``repro.campaigns`` and the README's
-Campaigns section).
+records, BENCH_*.json trajectories, campaign journals, and a live
+server's fleet metrics (see ``repro.dashboard`` and the README's
+Dashboard section).  ``campaign`` runs YAML-defined experiment grids
+with journaled crash-safe resume (see ``repro.campaigns`` and the
+README's Campaigns section); it is the one way to sweep several
+experiments, and ``examples/campaigns/all.yaml`` sweeps all of them.
 
-Each experiment prints the same rows/series the corresponding paper figure
-shows (see EXPERIMENTS.md for the paper-vs-measured comparison).
-
-``run all`` executes every experiment under an isolation boundary: one
-failure is recorded in the failure report (outcome, wall time, traceback)
-and the sweep continues; the exit code turns non-zero only after the full
-sweep.  ``--verbose``/``--quiet`` control the pipeline's structured logs.
-
-``--workers N`` fans work out across a supervised process pool: whole
-experiments for ``run all``, dataset-generation samples for a single
-experiment.  Sweeps checkpoint every finished experiment to a journal
-(``--journal``, default ``<runs-dir>/sweep-journal.jsonl``); after a
-SIGINT/SIGTERM or crash, ``--resume`` skips the journaled experiments
-instead of redoing them.  An interrupted sweep still flushes the journal,
-writes the partial failure report and run record, and exits 130.
+``run`` executes one experiment from the table in
+:data:`repro.campaigns.runner.EXPERIMENTS` on a fresh context and prints
+the same rows/series the corresponding paper figure shows (see
+EXPERIMENTS.md for the paper-vs-measured comparison); a failure exits 1
+with the traceback on stderr.  ``--workers N`` fans its dataset
+generation out across a supervised process pool.  ``--verbose``/
+``--quiet`` control the pipeline's structured logs.
 
 Every ``run`` enables span tracing and writes a run record (config, metric
 snapshot, span aggregates, outcome) under ``runs/`` — ``repro stats``
@@ -51,19 +44,13 @@ and ``--metrics`` a JSONL snapshot of every counter/gauge/histogram.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 import traceback
 from pathlib import Path
-from typing import Callable
 
-from .runtime.errors import JournalError
-from .runtime.journal import SweepJournal
 from .runtime.logging import configure_logging, get_logger
-from .runtime.pool import PoolConfig
 from .runtime.records import (
     RunRecord,
-    default_runs_dir,
     format_run_listing,
     format_run_record,
     latest_run_record_path,
@@ -72,7 +59,6 @@ from .runtime.records import (
     summarize_run_record,
     write_run_record,
 )
-from .runtime.runner import FailureReport, run_experiments, run_experiments_parallel
 from .runtime.telemetry import metrics, telemetry
 
 from .bench import (
@@ -83,108 +69,11 @@ from .bench import (
 )
 
 from .campaigns.cli import add_campaign_arguments, run_campaign_command
+from .campaigns.runner import EXPERIMENTS, run_experiment
 from .dashboard.cli import add_dashboard_arguments, run_dashboard
 from .serve.cli import add_serve_arguments, run_infer, run_publish, run_serve
 
-from .datasets.activities import DISSIMILAR_SCENARIOS, SIMILAR_SCENARIOS
-from .eval import (
-    ExperimentContext,
-    format_ablation,
-    format_confusion_matrix,
-    format_defense,
-    format_full_sweep,
-    format_histogram,
-    format_robustness,
-    format_spectral_defense,
-    format_stealth,
-    format_throughput,
-    preset_by_name,
-    run_ablation,
-    run_angle_robustness,
-    run_clean_prototype,
-    run_defenses,
-    run_distance_robustness,
-    run_frame_importance,
-    run_heatmap_stealth,
-    run_injection_rate_sweep,
-    run_poisoned_frames_sweep,
-    run_simulator_throughput,
-    run_spectral_defense,
-    run_trigger_size_frames_sweep,
-    run_trigger_size_injection_sweep,
-)
-
-#: experiment id -> (description, runner(ctx) -> printable string)
-EXPERIMENTS: "dict[str, tuple[str, Callable[[ExperimentContext], str]]]" = {
-    "fig3": (
-        "Most-important-frame index histogram (SHAP)",
-        lambda ctx: format_histogram(run_frame_importance(ctx)),
-    ),
-    "fig5": (
-        "DRAI heatmaps with vs without a trigger (stealth)",
-        lambda ctx: format_stealth(run_heatmap_stealth(ctx)),
-    ),
-    "fig7": (
-        "Clean prototype confusion matrix",
-        lambda ctx: format_confusion_matrix(run_clean_prototype(ctx)),
-    ),
-    "fig8": (
-        "ASR/UASR/CDR vs injection rate (similar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_injection_rate_sweep(ctx, SIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig9": (
-        "ASR/UASR/CDR vs #poisoned frames (similar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_poisoned_frames_sweep(ctx, SIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig10": (
-        "ASR/UASR/CDR vs injection rate (dissimilar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_injection_rate_sweep(ctx, DISSIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig11": (
-        "ASR/UASR/CDR vs #poisoned frames (dissimilar trajectory)",
-        lambda ctx: format_full_sweep(
-            run_poisoned_frames_sweep(ctx, DISSIMILAR_SCENARIOS)
-        ),
-    ),
-    "fig12": (
-        "Trigger size comparison over injection rates",
-        lambda ctx: format_full_sweep(run_trigger_size_injection_sweep(ctx)),
-    ),
-    "fig13": (
-        "Trigger size comparison over #poisoned frames",
-        lambda ctx: format_full_sweep(run_trigger_size_frames_sweep(ctx)),
-    ),
-    "fig14": (
-        "ASR vs attacker angle (seen + zero-shot)",
-        lambda ctx: format_robustness(run_angle_robustness(ctx)),
-    ),
-    "fig15": (
-        "ASR vs attacker distance (seen + zero-shot)",
-        lambda ctx: format_robustness(run_distance_robustness(ctx)),
-    ),
-    "table1": (
-        "Module ablation + under-clothing triggers",
-        lambda ctx: format_ablation(run_ablation(ctx)),
-    ),
-    "sec6d": (
-        "RF simulator throughput",
-        lambda ctx: format_throughput(run_simulator_throughput(ctx)),
-    ),
-    "sec7": (
-        "Defenses: trigger detection + augmentation",
-        lambda ctx: format_defense(run_defenses(ctx)),
-    ),
-    "spectral": (
-        "Extension: spectral-signature poison filtering",
-        lambda ctx: format_spectral_defense(run_spectral_defense(ctx)),
-    ),
-}
+from .eval import preset_by_name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,24 +99,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("list", help="list available experiments")
 
-    run = subparsers.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
+    run = subparsers.add_parser(
+        "run", help="run one experiment (sweep them all with "
+        "`campaign run examples/campaigns/all.yaml`)",
+    )
+    run.add_argument("experiment", choices=list(EXPERIMENTS))
     run.add_argument("--preset", default="fast",
                      choices=["fast", "default", "paper"])
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk dataset cache")
     run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="supervised process-pool width: parallel "
-                     "experiments for 'run all', parallel dataset "
-                     "generation otherwise (1 = serial)")
-    run.add_argument("--journal", metavar="PATH", default=None,
-                     help="sweep journal path (default "
-                     "<runs-dir>/sweep-journal.jsonl; 'run all' only)")
-    run.add_argument("--resume", action="store_true",
-                     help="skip experiments the journal already marks done")
-    run.add_argument("--report", metavar="PATH", default=None,
-                     help="also write the sweep failure report to PATH")
+                     help="supervised process-pool width for dataset "
+                     "generation (1 = serial)")
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="export a Chrome-tracing JSON of all spans to PATH")
     run.add_argument("--metrics", metavar="PATH", default=None,
@@ -302,72 +186,6 @@ def _finalize_run(
     log.info("run record written to %s", path)
 
 
-def _report_outcome(report: FailureReport, interrupted: bool = False) -> dict:
-    """Run-record outcome payload for a (possibly single-entry) sweep."""
-    if interrupted:
-        status = "interrupted"
-    else:
-        status = "ok" if report.all_ok else "failed"
-    return {
-        "status": status,
-        "experiments": [
-            {
-                "name": outcome.name,
-                "ok": outcome.ok,
-                "wall_time_s": outcome.wall_time_s,
-                "error": outcome.error,
-                "resumed": outcome.resumed,
-            }
-            for outcome in report.outcomes
-        ],
-    }
-
-
-def _experiment_task(
-    name: str, preset_name: str, seed: int, use_disk_cache: bool
-) -> str:
-    """Pool-worker entry point: run one experiment in a fresh context.
-
-    Each worker rebuilds its own :class:`ExperimentContext` (process
-    boundaries don't share the in-memory caches; the on-disk dataset cache
-    still de-duplicates generation across workers) with ``workers=1`` so a
-    pooled sweep never nests a second pool inside each experiment.
-    """
-    preset = preset_by_name(preset_name)
-    context = ExperimentContext(
-        preset, seed=seed, use_disk_cache=use_disk_cache, workers=1
-    )
-    _, runner = EXPERIMENTS[name]
-    return runner(context)
-
-
-def _install_sweep_signal_handlers(log) -> "dict":
-    """SIGINT/SIGTERM -> KeyboardInterrupt, so sweeps unwind gracefully.
-
-    The interrupt propagates through the runner (journal already holds
-    every finished experiment) to the CLI, which writes the partial report
-    and run record before exiting 130.  Returns the previous handlers for
-    restoration; no-op outside the main thread.
-    """
-
-    def _handler(signum: int, frame) -> None:
-        log.warning("signal %d received; flushing journal and stopping", signum)
-        raise KeyboardInterrupt
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _handler)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-    return previous
-
-
-def _restore_signal_handlers(previous: "dict") -> None:
-    for signum, handler in previous.items():
-        signal.signal(signum, handler)
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(
@@ -377,8 +195,8 @@ def main(argv: "list[str] | None" = None) -> int:
     log = get_logger("cli")
     if args.command == "list":
         width = max(len(key) for key in EXPERIMENTS)
-        for key, (description, _) in EXPERIMENTS.items():
-            print(f"{key:<{width}}  {description}")
+        for key, experiment in EXPERIMENTS.items():
+            print(f"{key:<{width}}  {experiment.description}")
         return 0
 
     if args.command == "bench":
@@ -439,137 +257,42 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.workers < 1:
         log.error("--workers must be >= 1, got %d", args.workers)
         return 2
-    preset = preset_by_name(args.preset)
-    sweep = args.experiment == "all"
-    names = list(EXPERIMENTS) if sweep else [args.experiment]
-
     tel = telemetry()
     tel.reset()
     tel.enable()
     metrics().reset()
     try:
-        if not sweep:
-            for flag, value in (
-                ("--report", args.report),
-                ("--journal", args.journal),
-                ("--resume", args.resume),
-            ):
-                if value:
-                    log.warning("%s only applies to 'run all'; ignoring", flag)
-            context = ExperimentContext(
-                preset,
-                seed=args.seed,
-                use_disk_cache=not args.no_cache,
-                workers=args.workers,
-            )
-            description, runner = EXPERIMENTS[args.experiment]
-            jobs = [(
-                args.experiment,
-                f"{description} (preset {preset.name})",
-                lambda: runner(context),
-            )]
-            # A single experiment keeps the traditional fail-fast contract.
-            try:
-                report = run_experiments(jobs, isolate=False)
-            except Exception as exc:  # noqa: BLE001 - CLI boundary
-                log.error("experiment %s failed", args.experiment)
-                traceback.print_exc()
-                _finalize_run(
-                    args,
-                    {
-                        "status": "failed",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                    log,
-                )
-                return 1
-            _finalize_run(args, _report_outcome(report), log)
-            return 0
-
-        # --- sweep: journaled, resumable, optionally parallel -----------
-        runs_dir = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
-        journal_path = (
-            Path(args.journal) if args.journal
-            else runs_dir / "sweep-journal.jsonl"
-        )
-        campaign = {
-            "experiment": "all",
-            "preset": args.preset,
-            "seed": args.seed,
-            "use_disk_cache": not args.no_cache,
-            "experiments": names,
-        }
-        try:
-            journal = SweepJournal.open(
-                journal_path, campaign, resume=args.resume
-            )
-        except JournalError as exc:
-            log.error("cannot open sweep journal: %s", exc)
-            return 2
-
-        report = FailureReport()
-        interrupted = False
-        previous_handlers = _install_sweep_signal_handlers(log)
-        try:
-            with journal:
-                if args.workers > 1:
-                    parallel_jobs = [
-                        (
-                            name,
-                            f"{EXPERIMENTS[name][0]} (preset {preset.name})",
-                            _experiment_task,
-                            (name, args.preset, args.seed, not args.no_cache),
-                        )
-                        for name in names
-                    ]
-                    run_experiments_parallel(
-                        parallel_jobs,
-                        PoolConfig(workers=args.workers),
-                        journal=journal,
-                        report=report,
-                    )
-                else:
-                    context = ExperimentContext(
-                        preset, seed=args.seed, use_disk_cache=not args.no_cache
-                    )
-                    jobs = []
-                    for name in names:
-                        description, runner = EXPERIMENTS[name]
-                        jobs.append((
-                            name,
-                            f"{description} (preset {preset.name})",
-                            lambda runner=runner: runner(context),
-                        ))
-                    run_experiments(
-                        jobs, isolate=True, journal=journal, report=report
-                    )
-        except KeyboardInterrupt:
-            interrupted = True
-            log.warning(
-                "sweep interrupted after %d/%d experiments; "
-                "journal %s holds the finished ones (resume with --resume)",
-                len(report.outcomes), len(names), journal_path,
-            )
-        finally:
-            _restore_signal_handlers(previous_handlers)
-
-        print(report.format())
-        if interrupted:
-            print(
-                f"sweep interrupted: {len(report.outcomes)}/{len(names)} "
-                f"experiments reached a terminal state; resume with "
-                f"`repro run all --resume --journal {journal_path}`"
-            )
-        if args.report:
-            with open(args.report, "w") as handle:
-                handle.write(report.format() + "\n")
-            log.info("failure report written to %s", args.report)
-        _finalize_run(args, _report_outcome(report, interrupted), log)
-        if interrupted:
-            return 130
-        return 0 if report.all_ok else 1
+        return _run_experiment(args, log)
     finally:
         tel.disable()
+
+
+def _run_experiment(args: argparse.Namespace, log) -> int:
+    """``repro run <exp>``: print the figure rows, write the run record."""
+    name = args.experiment
+    experiment = EXPERIMENTS[name]
+    preset = preset_by_name(args.preset)
+    print(f"=== {name}: {experiment.description} (preset {preset.name}) ===")
+    timer = telemetry().span(f"experiment.{name}", force=True)
+    try:
+        with timer:
+            result = run_experiment(
+                name, preset, args.seed,
+                use_disk_cache=not args.no_cache, workers=args.workers,
+            )
+            print(experiment.formatter(result))
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        log.error("experiment %s failed after %.1fs", name, timer.duration_s)
+        traceback.print_exc()
+        _finalize_run(
+            args, {"status": "failed", "error": f"{type(exc).__name__}: {exc}"},
+            log,
+        )
+        return 1
+    print(f"--- {name} done in {timer.duration_s:.1f}s ---\n")
+    outcome = {"name": name, "ok": True, "wall_time_s": timer.duration_s}
+    _finalize_run(args, {"status": "ok", "experiments": [outcome]}, log)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -11,7 +11,7 @@ dependencies):
 ``repro.dashboard.data``
     Pure read-side indexing: the runs directory, bench trajectories
     across ``BENCH_*.json`` files (v3 and v4), bench-vs-bench diffs,
-    sweep-journal tailing, and the fleet ``/metrics`` proxy.
+    campaign-journal tailing, and the fleet ``/metrics`` proxy.
 ``repro.dashboard.server``
     The HTTP app: ``GET /`` (a tiny self-refreshing HTML page) plus the
     ``/api/*`` JSON endpoints the page — or ``curl`` — consumes.

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import signal
+from pathlib import Path
 
 from ..runtime.logging import get_logger
+from ..runtime.records import default_runs_dir
 from .server import build_dashboard_server
 
 _log = get_logger("dashboard.cli")
@@ -21,7 +23,7 @@ def add_dashboard_arguments(subparsers) -> None:
     dashboard = subparsers.add_parser(
         "dashboard",
         help="serve a read-only web view of run records, bench "
-        "trajectories, sweep journals, and live fleet metrics",
+        "trajectories, campaign journals, and live fleet metrics",
     )
     dashboard.add_argument("--host", default="127.0.0.1")
     dashboard.add_argument("--port", type=int, default=8078,
@@ -34,20 +36,27 @@ def add_dashboard_arguments(subparsers) -> None:
                            help="directory scanned for BENCH_*.json "
                            "(default: current directory)")
     dashboard.add_argument("--journal", metavar="PATH", default=None,
-                           help="sweep journal to tail at /api/journal "
-                           "(default: <runs-dir>/sweep-journal.jsonl)")
+                           help="campaign journal to tail at /api/journal "
+                           "(default: the newest <runs-dir>/campaign-*.jsonl)")
     dashboard.add_argument("--server-url", metavar="URL", default=None,
                            help="running `repro serve` instance whose "
                            "fleet metrics /api/fleet proxies")
 
 
+def newest_campaign_journal(runs_dir: "str | Path") -> "Path | None":
+    """The most recently written ``campaign-*.jsonl`` in ``runs_dir``.
+
+    ``CampaignRunner`` journals to ``<runs-dir>/campaign-<name>.jsonl``
+    by default, so this is the campaign that ran (or is running) last.
+    """
+    journals = Path(runs_dir).glob("campaign-*.jsonl")
+    return max(journals, key=lambda path: path.stat().st_mtime, default=None)
+
+
 def run_dashboard(args: argparse.Namespace, log) -> int:
     journal = args.journal
     if journal is None:
-        from ..runtime.records import default_runs_dir
-
-        runs_dir = args.runs_dir or default_runs_dir()
-        journal = str(runs_dir) + "/sweep-journal.jsonl"
+        journal = newest_campaign_journal(args.runs_dir or default_runs_dir())
     server = build_dashboard_server(
         host=args.host,
         port=args.port,

@@ -1,10 +1,11 @@
-"""Cross-cutting runtime services: errors, logging, guards, faults, runner.
+"""Cross-cutting runtime services: errors, logging, guards, faults, pool.
 
 This package owns the pipeline's failure-handling contract.  Stage code
 raises :class:`ReproError` subclasses, guards catch NaN/Inf at stage
-boundaries, the isolating runner keeps ``run all`` sweeps alive past
-individual failures, and :mod:`repro.runtime.faults` injects each failure
-mode deterministically so tests can prove recovery works.
+boundaries, the supervised pool and the sweep journal keep campaigns
+(:mod:`repro.campaigns`) alive and resumable past individual failures,
+and :mod:`repro.runtime.faults` injects each failure mode
+deterministically so tests can prove recovery works.
 
 It also owns the observability contract: :mod:`repro.runtime.telemetry`
 provides hierarchical span tracing plus a counters/gauges/histograms
@@ -15,8 +16,8 @@ per CLI invocation.
 from .backoff import RetryPolicy, retry_call
 from .errors import (
     CacheCorruptionError,
-    ExperimentError,
     JournalError,
+    JournalMismatchError,
     PoolError,
     ReproError,
     SimulationError,
@@ -40,7 +41,6 @@ from .records import (
     load_run_record,
     write_run_record,
 )
-from .runner import ExperimentOutcome, FailureReport, run_experiments
 from .telemetry import (
     Counter,
     Gauge,
@@ -57,12 +57,10 @@ from .telemetry import (
 __all__ = [
     "CacheCorruptionError",
     "Counter",
-    "ExperimentError",
-    "ExperimentOutcome",
-    "FailureReport",
     "Gauge",
     "Histogram",
     "JournalError",
+    "JournalMismatchError",
     "MetricsRegistry",
     "PoolConfig",
     "PoolError",
@@ -90,7 +88,6 @@ __all__ = [
     "log_event",
     "metrics",
     "retry_call",
-    "run_experiments",
     "run_tasks",
     "span",
     "telemetry",

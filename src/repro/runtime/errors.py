@@ -11,9 +11,9 @@ The hierarchy mirrors the pipeline stages::
     ├── CacheCorruptionError      dataset cache archive unusable
     ├── SimulationError           simulator produced non-finite output
     ├── TrainingDivergenceError   NaN/Inf loss during Trainer.fit
-    ├── ExperimentError           one experiment of a sweep failed
     ├── PoolError                 the worker pool itself is unusable
     ├── JournalError              sweep journal unusable for resume
+    │   └── JournalMismatchError  journal belongs to another campaign
     ├── CampaignError             campaign config or run unusable
     │   └── CampaignConfigError   config failed schema validation
     └── ServeError                online inference service failures
@@ -62,15 +62,6 @@ class TrainingDivergenceError(ReproError):
         self.loss = loss
 
 
-class ExperimentError(ReproError):
-    """One experiment of a sweep failed; carries the original cause."""
-
-    def __init__(self, name: str, cause: BaseException):
-        super().__init__(f"experiment {name!r} failed: {cause!r}")
-        self.name = name
-        self.cause = cause
-
-
 class PoolError(ReproError):
     """The worker pool cannot run at all (e.g. no worker could start).
 
@@ -83,15 +74,23 @@ class PoolError(ReproError):
 class JournalError(ReproError):
     """A sweep journal cannot be used for the requested resume.
 
-    Raised when the journal on disk belongs to a different campaign
-    (preset/seed/experiment-set mismatch), so a resume would silently mix
-    incompatible results.
+    Raised when the journal on disk is unreadable (no header line, an
+    unknown journal version) or already closed.
     """
 
     def __init__(self, path, reason: str):
         super().__init__(f"unusable sweep journal {path}: {reason}")
         self.path = path
         self.reason = reason
+
+
+class JournalMismatchError(JournalError):
+    """The journal on disk belongs to a different campaign.
+
+    Its header fingerprint (campaign name, config digest) differs from
+    the requested one, so a resume would silently mix incompatible
+    results.
+    """
 
 
 class CampaignError(ReproError):

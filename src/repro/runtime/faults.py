@@ -13,6 +13,7 @@ compose and are safe to nest in tests.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import time
 from dataclasses import dataclass
@@ -250,17 +251,18 @@ class FlakyTask:
 def failing_experiment(registry: dict, name: str, message: str = "injected experiment fault"):
     """Replace one experiment runner in ``registry`` with a crashing stub.
 
-    ``registry`` is the CLI's ``EXPERIMENTS`` mapping of
-    ``name -> (description, runner)``; the stub raises ``RuntimeError`` so
-    sweep-isolation tests can prove the remaining experiments still run.
+    ``registry`` is the experiment table
+    (:data:`repro.campaigns.runner.EXPERIMENTS`, id -> ``Experiment``);
+    the stub raises ``RuntimeError`` so failure-path tests can prove a
+    failed run or cell is reported, not swallowed.
     """
-    description, original = registry[name]
+    original = registry[name]
 
     def crash(ctx):
         raise RuntimeError(message)
 
-    registry[name] = (description, crash)
+    registry[name] = dataclasses.replace(original, runner=crash)
     try:
         yield
     finally:
-        registry[name] = (description, original)
+        registry[name] = original

@@ -1,17 +1,18 @@
 """Resumable sweep journal: crash-safe checkpoints of finished work units.
 
-A sweep (``run all``, a dataset campaign) appends one JSON line per
-*terminal* task outcome.  Appends are flushed and fsynced, so after a
-SIGINT or crash the journal holds every unit that finished; re-running
-with ``resume=True`` skips those instead of redoing hours of simulation.
+A campaign (:class:`repro.campaigns.CampaignRunner`) appends one JSON
+line per *terminal* cell outcome.  Appends are flushed and fsynced, so
+after a SIGINT or crash the journal holds every unit that finished;
+re-running with ``resume=True`` skips those instead of redoing hours of
+simulation.
 
 Crash-safety model: a torn final line (the write that was interrupted) is
 detected by JSON parse failure and ignored — the unit it described simply
 re-runs.  Mid-file garbage is skipped with a warning.  The header line
-carries a campaign fingerprint (preset, seed, experiment set, ...);
+carries a campaign fingerprint (campaign name, config digest);
 resuming against a journal from a *different* campaign raises
-:class:`~repro.runtime.errors.JournalError` instead of silently mixing
-incompatible results.
+:class:`~repro.runtime.errors.JournalMismatchError` instead of silently
+mixing incompatible results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from .errors import JournalError
+from .errors import JournalError, JournalMismatchError
 from .logging import get_logger
 from .telemetry import metrics
 
@@ -84,7 +85,7 @@ class SweepJournal:
             header = journal._load()
             recorded = header.get("campaign", {})
             if recorded != campaign:
-                raise JournalError(
+                raise JournalMismatchError(
                     journal.path,
                     "campaign mismatch: "
                     f"{_fingerprint_diff(recorded, campaign)}; "

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.cli as cli
+from repro.campaigns import Experiment
 from repro.campaigns import runner as runner_module
 
 
@@ -58,7 +59,9 @@ def test_validate_rejects_empty_grid(tmp_path):
 # -- run / list / show / stats ------------------------------------------
 
 def test_run_list_show_and_stats_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     runs_dir = tmp_path / "runs"
     path = _write_config(tmp_path)
     assert cli.main([
@@ -93,7 +96,9 @@ def test_run_list_show_and_stats_roundtrip(tmp_path, capsys, monkeypatch):
 def test_stats_campaign_filter_excludes_runs(tmp_path, capsys, monkeypatch):
     from repro.runtime.records import RunRecord, write_run_record
 
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     runs_dir = tmp_path / "runs"
     path = _write_config(tmp_path, seeds="[0]")
     assert cli.main([
@@ -115,7 +120,9 @@ def test_run_failure_exit_code(tmp_path, capsys, monkeypatch):
     def _boom(context):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _boom)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _boom)
+    )
     runs_dir = tmp_path / "runs"
     path = _write_config(tmp_path, seeds="[0]")
     assert cli.main([
@@ -132,7 +139,9 @@ def test_run_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_journal_mismatch_names_digest_and_suggests_fresh_journal(
     tmp_path, capsys, monkeypatch
 ):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     runs_dir = tmp_path / "runs"
     journal = tmp_path / "journal.jsonl"
     first = _write_config(tmp_path, seeds="[0]")
@@ -152,8 +161,23 @@ def test_journal_mismatch_names_digest_and_suggests_fresh_journal(
     logged = capsys.readouterr().err
     assert "campaign mismatch" in logged
     assert "config_digest" in logged
+    assert "belongs to a different campaign config" in logged
     assert "--journal" in logged
     assert "fresh-path" in logged or "fresh" in logged
+
+
+def test_unreadable_journal_logs_its_cause_not_a_mismatch(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text("")
+    path = _write_config(tmp_path, seeds="[0]")
+    assert cli.main([
+        "campaign", "run", str(path), "--runs-dir", str(tmp_path / "runs"),
+        "--journal", str(journal), "--resume",
+    ]) == 2
+    logged = capsys.readouterr().err
+    assert "missing journal header line" in logged
+    assert "--journal <fresh-path>" in logged
+    assert "different campaign" not in logged
 
 
 def test_show_missing_record_errors(tmp_path):
@@ -165,6 +189,13 @@ def test_show_missing_record_errors(tmp_path):
 def test_list_empty_runs_dir_exit_code(tmp_path, capsys):
     assert cli.main(["campaign", "list", "--runs-dir", str(tmp_path)]) == 1
     assert "no run records found" in capsys.readouterr().out
+
+
+def test_run_rejects_invalid_config(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("campaign: bad\nexperiment: fig99\n")
+    assert cli.main(["campaign", "run", str(path)]) == 2
+    assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
 
 def test_run_rejects_bad_workers(tmp_path):

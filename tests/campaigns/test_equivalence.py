@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaigns import CampaignRunner, cell_payload, load_campaign
+from repro.campaigns import (
+    EXPERIMENTS,
+    CampaignRunner,
+    cell_payload,
+    load_campaign,
+    parse_campaign,
+)
+from repro.campaigns import config as config_module
 from repro.campaigns.config import config_digest, expand_cells
 from repro.eval.experiments import ExperimentContext, run_simulator_throughput
 from repro.eval.presets import preset_by_name
@@ -40,6 +47,43 @@ def test_sec6d_tiny_campaign_matches_hand_written_runner(tmp_path):
     record_cells = {cell["key"]: cell for cell in outcome.record.cells}
     assert set(record_cells) == {r.key for r in outcome.results}
     assert outcome.record.config_digest == config_digest(config)
+
+
+def test_serial_campaign_cells_do_not_share_state(tmp_path, monkeypatch):
+    """fig9 after fig8 in one serial campaign == fig9 run alone.
+
+    Each cell builds its own experiment context, so the surrogate and
+    attack plans fig8 built cannot leak into fig9.
+    """
+    from ..test_cli import _micro_preset
+
+    monkeypatch.setattr(
+        config_module, "preset_by_name", lambda name: _micro_preset()
+    )
+
+    def run(name, experiments):
+        config = parse_campaign({
+            "campaign": name, "preset": "fast", "seeds": [0],
+            "axes": {"experiment": experiments},
+        })
+        outcome = CampaignRunner(
+            config, runs_dir=tmp_path / name,
+            journal_path=tmp_path / f"{name}.jsonl",
+        ).run()
+        assert outcome.all_ok
+        return {result.experiment: result.metrics for result in outcome.results}
+
+    swept = run("swept", ["fig8", "fig9"])
+    alone = run("alone", ["fig9"])
+    assert swept["fig9"] == alone["fig9"]
+
+
+def test_all_yaml_sweeps_every_experiment():
+    config = load_campaign(EXAMPLES / "all.yaml")
+    assert dict(config.axes)["experiment"] == tuple(EXPERIMENTS)
+    cells = expand_cells(config)
+    assert [cell.experiment for cell in cells] == list(EXPERIMENTS)
+    assert {(cell.preset, cell.seed) for cell in cells} == {("fast", 0)}
 
 
 def test_campaign_results_reproducible_across_runs(tmp_path):

@@ -4,9 +4,16 @@ import json
 
 import pytest
 
-from repro.campaigns import CampaignRunner, cell_payload, parse_campaign
+from repro.campaigns import (
+    CampaignRunner,
+    Experiment,
+    cell_payload,
+    format_campaign_record,
+    parse_campaign,
+)
 from repro.campaigns import runner as runner_module
 from repro.runtime.backoff import RetryPolicy
+from repro.runtime.journal import SweepJournal
 from repro.runtime.pool import PoolConfig
 
 
@@ -35,7 +42,9 @@ def _stub_boom(context):
 
 
 def test_run_serial_produces_record(tmp_path, monkeypatch, fast_pool):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     runner = CampaignRunner(
         _config(), runs_dir=tmp_path, pool_config=fast_pool
     )
@@ -57,7 +66,9 @@ def test_run_serial_produces_record(tmp_path, monkeypatch, fast_pool):
 
 
 def test_journal_written_per_cell(tmp_path, monkeypatch, fast_pool):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     journal_path = tmp_path / "journal.jsonl"
     runner = CampaignRunner(
         _config(), journal_path=journal_path, runs_dir=tmp_path,
@@ -76,7 +87,9 @@ def test_journal_written_per_cell(tmp_path, monkeypatch, fast_pool):
 
 
 def test_resume_skips_finished_cells(tmp_path, monkeypatch, fast_pool):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     journal_path = tmp_path / "journal.jsonl"
     first = CampaignRunner(
         _config(), journal_path=journal_path, runs_dir=tmp_path,
@@ -86,7 +99,9 @@ def test_resume_skips_finished_cells(tmp_path, monkeypatch, fast_pool):
 
     # Re-running with the journal must not invoke the runner again: a
     # stub that explodes proves every cell was replayed, not re-run.
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_boom)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_boom)
+    )
     second = CampaignRunner(
         _config(), journal_path=journal_path, runs_dir=tmp_path,
         pool_config=fast_pool,
@@ -104,7 +119,9 @@ def test_resume_skips_finished_cells(tmp_path, monkeypatch, fast_pool):
 def test_partial_resume_runs_only_missing_cells(
     tmp_path, monkeypatch, fast_pool
 ):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_ok)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
     journal_path = tmp_path / "journal.jsonl"
     config = _config(seeds=[0, 1, 2])
     first = CampaignRunner(
@@ -122,7 +139,9 @@ def test_partial_resume_runs_only_missing_cells(
         calls.append(context.seed)
         return _stub_ok(context)
 
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _counting)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _counting)
+    )
     outcome = CampaignRunner(
         config, journal_path=journal_path, runs_dir=tmp_path,
         pool_config=fast_pool,
@@ -135,7 +154,9 @@ def test_partial_resume_runs_only_missing_cells(
 
 
 def test_max_failures_stops_dispatch(tmp_path, monkeypatch, fast_pool):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_boom)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_boom)
+    )
     config = _config(seeds=[0, 1, 2, 3, 4, 5], stop={"max_failures": 1})
     outcome = CampaignRunner(
         config, runs_dir=tmp_path, pool_config=fast_pool
@@ -154,7 +175,9 @@ def test_max_failures_stops_dispatch(tmp_path, monkeypatch, fast_pool):
 
 
 def test_failed_cells_record_error(tmp_path, monkeypatch, fast_pool):
-    monkeypatch.setitem(runner_module.CELL_RUNNERS, "sec6d", _stub_boom)
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_boom)
+    )
     config = _config(seeds=[0])
     outcome = CampaignRunner(
         config, runs_dir=tmp_path, pool_config=fast_pool
@@ -164,6 +187,52 @@ def test_failed_cells_record_error(tmp_path, monkeypatch, fast_pool):
     assert result.status == "failed"
     assert "cell exploded" in result.error
     assert outcome.record.outcome["status"] == "failed"
+
+
+def test_failed_cell_keeps_traceback(tmp_path, monkeypatch, fast_pool):
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_boom)
+    )
+    journal_path = tmp_path / "journal.jsonl"
+    outcome = CampaignRunner(
+        _config(seeds=[0]), journal_path=journal_path, runs_dir=tmp_path,
+        pool_config=fast_pool,
+    ).run()
+    result = outcome.results[0]
+    assert "Traceback" in result.traceback
+    assert "in _stub_boom" in result.traceback
+    # The traceback reaches the journal payload and the record...
+    entry = json.loads(journal_path.read_text().splitlines()[1])
+    assert entry["payload"]["traceback"] == result.traceback
+    assert outcome.record.cells[0]["traceback"] == result.traceback
+    # ...and the rendering prints it after the cell table.
+    text = format_campaign_record(outcome.record)
+    banner = text.index(f"--- traceback: {result.key} ---")
+    assert text.index("cells:") < banner
+    assert "RuntimeError: cell exploded" in text[banner:]
+
+
+def test_record_follows_journal_when_interrupted_after_journaling(
+    tmp_path, monkeypatch, fast_pool
+):
+    """An interrupt between the journal append and the runner collecting
+    the cell must not record a journaled cell as skipped."""
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_ok)
+    )
+    original = SweepJournal.record
+
+    def record_then_interrupt(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SweepJournal, "record", record_then_interrupt)
+    outcome = CampaignRunner(
+        _config(), runs_dir=tmp_path, pool_config=fast_pool
+    ).run()
+    assert outcome.interrupted
+    assert [r.status for r in outcome.results] == ["done", "skipped"]
+    assert outcome.results[0].metrics == {"seed": 0}
 
 
 def test_cell_payload_passthrough_and_unknown():

@@ -1,6 +1,7 @@
 """Dashboard coverage for campaign records: data layer + HTTP routes."""
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -8,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.campaigns import CampaignRecord, write_campaign_record
+from repro.dashboard.cli import newest_campaign_journal
 from repro.dashboard.data import DashboardData
 from repro.dashboard.server import build_dashboard_server
 from repro.runtime.records import RunRecord, write_run_record
@@ -109,3 +111,14 @@ def test_index_page_mentions_campaigns(server):
         html = response.read().decode()
     assert "campaigns" in html
     assert "/api/campaigns" in html
+
+
+def test_journal_default_is_newest_campaign_journal(tmp_path):
+    assert newest_campaign_journal(tmp_path) is None
+    older = tmp_path / "campaign-a.jsonl"
+    newer = tmp_path / "campaign-b.jsonl"
+    other = tmp_path / "sweep-journal.jsonl"
+    for mtime, path in enumerate((older, newer, other)):
+        path.write_text("{}\n")
+        os.utime(path, (1000 + mtime, 1000 + mtime))
+    assert newest_campaign_journal(tmp_path) == newer

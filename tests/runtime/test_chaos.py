@@ -1,23 +1,28 @@
-"""Chaos suite: sweeps under worker crashes, hangs, and delivered signals.
+"""Chaos suite: signals and a foreign journal at a serial campaign.
 
-These tests drive the real CLI (stubbed experiment registry) end to end:
-a parallel sweep keeps going while one experiment's worker keeps dying, a
-SIGINT/SIGTERM mid-sweep flushes the journal and exits 130 with a partial
-failure report, and ``--resume`` then finishes only the remaining work.
+A SIGINT/SIGTERM during the second cell of a stubbed ``--workers 1``
+campaign flushes the journal (the finished cell, nothing else) and exits
+130 with an ``interrupted`` record; ``--resume`` against the journal of
+a different campaign is refused with exit 2.  The parallel cases are in
+``tests/campaigns/test_chaos.py``, whose stub campaign these reuse.
 """
 
-import json
 import multiprocessing
-import os
 import signal
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
-from repro import cli
-from repro.runtime.faults import CrashingTask, FlakyTask
+from repro.campaigns import Experiment
+from repro.campaigns import runner as runner_module
+
+from ..campaigns.test_chaos import (
+    cells_by_experiment,
+    interrupt_second_cell,
+    read_journal,
+    run_campaign,
+    stub_ok,
+    write_config,
+)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -25,193 +30,30 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _ok_experiment(ctx):
-    return "stub-ok"
-
-
-def _read_journal(path):
-    entries = {}
-    for line in Path(path).read_text().splitlines():
-        record = json.loads(line)
-        if "key" in record:
-            entries[record["key"]] = record
-    return entries
-
-
-def _latest_run_record(runs_dir):
-    records = sorted(Path(runs_dir).glob("*.json"))
-    assert records, f"no run records in {runs_dir}"
-    return json.loads(records[-1].read_text())
-
-
-class TestParallelChaosSweep:
-    def test_sweep_survives_crashing_and_flaky_experiments(self, tmp_path, monkeypatch):
-        registry = {
-            "ok1": ("stub ok", _ok_experiment),
-            "crashy": (
-                "stub crasher",
-                CrashingTask(str(tmp_path / "crash-counter"), crash_attempts=99, exit_code=3),
-            ),
-            "flaky": (
-                "stub flaky",
-                FlakyTask(str(tmp_path / "flaky-counter"), fail_attempts=1),
-            ),
-            "ok2": ("stub ok", _ok_experiment),
-        }
-        monkeypatch.setattr(cli, "EXPERIMENTS", registry)
-        journal = tmp_path / "journal.jsonl"
-        report_path = tmp_path / "report.txt"
-        rc = cli.main([
-            "-q", "run", "all", "--workers", "2", "--no-cache",
-            "--journal", str(journal),
-            "--runs-dir", str(tmp_path / "runs"),
-            "--report", str(report_path),
-        ])
-        # The crasher fails terminally -> nonzero; but the sweep finished.
-        assert rc == 1
-
-        entries = _read_journal(journal)
-        assert entries["ok1"]["status"] == "done"
-        assert entries["ok2"]["status"] == "done"
-        assert entries["crashy"]["status"] == "failed"
-        assert entries["crashy"]["attempts"] >= 2  # retried on fresh workers
-        assert entries["flaky"]["status"] == "done"
-        assert entries["flaky"]["attempts"] == 2  # recovered after one retry
-
-        report = report_path.read_text()
-        assert "FAILED crashy" in report
-        assert "3/4 experiments succeeded" in report
-
-        record = _latest_run_record(tmp_path / "runs")
-        assert record["outcome"]["status"] == "failed"
-        by_name = {e["name"]: e for e in record["outcome"]["experiments"]}
-        assert by_name["crashy"]["ok"] is False
-        assert by_name["flaky"]["ok"] is True
-
-
-def _interruptible_sweep_child(journal, runs_dir, report, ready_path):
-    """Child process: run a stubbed sweep whose second experiment hangs."""
-
-    def slow(ctx):
-        Path(ready_path).touch()
-        time.sleep(60)
-        return "never-returned"
-
-    cli.EXPERIMENTS = {
-        "fast1": ("stub fast", _ok_experiment),
-        "slow": ("stub slow", slow),
-        "fast2": ("stub fast", _ok_experiment),
-    }
-    rc = cli.main([
-        "-q", "run", "all", "--no-cache",
-        "--journal", journal, "--runs-dir", runs_dir, "--report", report,
-    ])
-    sys.exit(rc)
-
-
 class TestSignalHandling:
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
     def test_signal_mid_sweep_flushes_journal_and_exits_130(self, tmp_path, signum):
-        journal = tmp_path / "journal.jsonl"
-        runs_dir = tmp_path / "runs"
-        report = tmp_path / "report.txt"
-        ready = tmp_path / "slow-started"
-        context = multiprocessing.get_context("fork")
-        child = context.Process(
-            target=_interruptible_sweep_child,
-            args=(str(journal), str(runs_dir), str(report), str(ready)),
-        )
-        child.start()
-        try:
-            deadline = time.monotonic() + 30.0
-            while not ready.exists():
-                assert time.monotonic() < deadline, "slow experiment never started"
-                assert child.is_alive(), "sweep died before the interrupt"
-                time.sleep(0.02)
-            os.kill(child.pid, signum)
-            child.join(timeout=30.0)
-        finally:
-            if child.is_alive():  # pragma: no cover - cleanup on failure
-                child.kill()
-                child.join()
-        assert child.exitcode == 130
+        assert interrupt_second_cell(tmp_path, signum, workers=1) == 130
 
-        # The finished experiment is journaled; the interrupted one is not.
-        entries = _read_journal(journal)
+        # Serial: the finished cell is journaled; the others never finished.
+        entries = read_journal(tmp_path / "journal.jsonl")
+        assert set(entries) == {"fast1"}
         assert entries["fast1"]["status"] == "done"
-        assert "slow" not in entries
-        assert "fast2" not in entries
 
-        # Partial failure report and run record were still written.
-        assert "fast1" in report.read_text()
-        record = _latest_run_record(runs_dir)
+        # The record was still written, with only the first cell done.
+        record, cells = cells_by_experiment(tmp_path / "runs")
         assert record["outcome"]["status"] == "interrupted"
-        names = [e["name"] for e in record["outcome"]["experiments"]]
-        assert names == ["fast1"]
-
-    def test_resume_skips_journaled_experiments(self, tmp_path, monkeypatch, capsys):
-        journal = tmp_path / "journal.jsonl"
-        runs_dir = tmp_path / "runs"
-        ready = tmp_path / "slow-started"
-        context = multiprocessing.get_context("fork")
-        child = context.Process(
-            target=_interruptible_sweep_child,
-            args=(str(journal), str(runs_dir), str(tmp_path / "r.txt"), str(ready)),
-        )
-        child.start()
-        try:
-            deadline = time.monotonic() + 30.0
-            while not ready.exists():
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
-            os.kill(child.pid, signal.SIGINT)
-            child.join(timeout=30.0)
-        finally:
-            if child.is_alive():  # pragma: no cover - cleanup on failure
-                child.kill()
-                child.join()
-        assert child.exitcode == 130
-
-        # Resume with the hang healed: only the unfinished experiments run.
-        calls = []
-
-        def healed_slow(ctx):
-            calls.append("slow")
-            return "healed"
-
-        monkeypatch.setattr(cli, "EXPERIMENTS", {
-            "fast1": ("stub fast", _fail_if_called),
-            "slow": ("stub slow", healed_slow),
-            "fast2": ("stub fast", _ok_experiment),
-        })
-        rc = cli.main([
-            "-q", "run", "all", "--no-cache", "--resume",
-            "--journal", str(journal), "--runs-dir", str(runs_dir),
-        ])
-        assert rc == 0
-        assert calls == ["slow"]
-        out = capsys.readouterr().out
-        assert "fast1 resumed from journal" in out
-        entries = _read_journal(journal)
-        assert {entries[k]["status"] for k in ("fast1", "slow", "fast2")} == {"done"}
+        assert {name: cell["status"] for name, cell in cells.items()} == {
+            "fast1": "done", "slow": "skipped", "fast2": "skipped",
+        }
 
     def test_resume_refuses_mismatched_campaign(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            cli, "EXPERIMENTS", {"only": ("stub", _ok_experiment)}
+        monkeypatch.setitem(
+            runner_module.EXPERIMENTS, "only", Experiment("stub", stub_ok)
         )
         journal = tmp_path / "journal.jsonl"
-        rc = cli.main([
-            "-q", "run", "all", "--no-cache",
-            "--journal", str(journal), "--runs-dir", str(tmp_path / "runs"),
-        ])
-        assert rc == 0
+        runs_dir = tmp_path / "runs"
+        assert run_campaign(write_config(tmp_path, ["only"]), journal, runs_dir) == 0
         # Same journal, different campaign (seed changed): refuse, exit 2.
-        rc = cli.main([
-            "-q", "run", "all", "--no-cache", "--resume", "--seed", "1",
-            "--journal", str(journal), "--runs-dir", str(tmp_path / "runs"),
-        ])
-        assert rc == 2
-
-
-def _fail_if_called(ctx):  # pragma: no cover - would mean resume is broken
-    raise AssertionError("journaled experiment was re-run despite --resume")
+        changed = write_config(tmp_path, ["only"], seed=1)
+        assert run_campaign(changed, journal, runs_dir, "--resume") == 2

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.campaigns import Experiment
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.runtime.faults import failing_experiment
 
 
 def test_every_paper_experiment_registered():
@@ -147,7 +149,7 @@ def test_run_failure_still_writes_record(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "preset_by_name", lambda name: _micro_preset())
     monkeypatch.setitem(
         cli.EXPERIMENTS, "fig7",
-        ("doomed", lambda ctx: (_ for _ in ()).throw(ValueError("boom"))),
+        Experiment("doomed", lambda ctx: (_ for _ in ()).throw(ValueError("boom"))),
     )
     assert cli.main(["run", "fig7"]) == 1
     from repro.runtime.records import latest_run_record_path, load_run_record
@@ -171,3 +173,30 @@ def test_parser_accepts_observability_flags():
     assert args.trace == "t.json"
     assert args.metrics == "m.jsonl"
     assert args.runs_dir == "r"
+
+
+@pytest.fixture()
+def stub_experiments(monkeypatch):
+    """Add three instant stubs to the experiment table."""
+    for name in ("stub1", "stub2", "stub3"):
+        monkeypatch.setitem(EXPERIMENTS, name, Experiment(
+            f"{name} description", lambda ctx, name=name: f"{name} rows"
+        ))
+    return EXPERIMENTS
+
+
+def test_single_failing_experiment_exits_nonzero(stub_experiments, capsys):
+    with failing_experiment(stub_experiments, "stub2"):
+        assert main(["run", "stub2"]) == 1
+    captured = capsys.readouterr()
+    assert "injected experiment fault" in captured.err
+
+
+def test_single_experiment_success_exits_zero(stub_experiments, capsys):
+    assert main(["run", "stub3"]) == 0
+    assert "stub3 rows" in capsys.readouterr().out
+
+
+def test_verbosity_flags_parse(stub_experiments):
+    assert main(["-v", "run", "stub1"]) == 0
+    assert main(["-q", "run", "stub1"]) == 0
