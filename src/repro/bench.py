@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack.placement import _score_candidate
+from .attack.placement import _score_candidates_batched
 from .attack.trigger import ReflectorTrigger
 from .datasets.activities import ACTIVITY_NAMES
 from .datasets.generation import GenerationConfig, SampleGenerator
@@ -406,11 +406,11 @@ def _run_stages(preset: BenchPreset) -> "dict[str, dict]":
     ]
 
     def score_candidates() -> None:
-        for position in candidates:
-            _score_candidate(
-                simulator, surrogate, trigger, position, transforms,
-                base_cubes, clean_heatmaps, clean_features, heatmap_config,
-            )
+        # The batched scorer is the one TriggerPlacementOptimizer.optimize runs.
+        _score_candidates_batched(
+            simulator, surrogate, trigger, candidates, transforms,
+            base_cubes, clean_heatmaps, clean_features, heatmap_config,
+        )
 
     stages["attack.placement_scoring"] = _time_stage(
         score_candidates, max(1, preset.repeats // 2)

@@ -2,15 +2,20 @@
 
 These complement the elementwise/linear-algebra primitives on
 :class:`~repro.nn.tensor.Tensor` with the image ops the frame CNN needs.
-Convolution uses an ``as_strided`` im2col with a ``np.add.at`` col2im
-backward — the standard NumPy formulation.
+Convolution is an ``as_strided`` im2col whose forward and weight-gradient
+products run through ``np.matmul`` (BLAS); its input gradient is one GEMM
+into tap-major columns that span the padded width, so ``_col2im`` adds
+each kernel tap as a single flat slice.  Max pooling takes
+``np.maximum`` over the ``k x k`` strided views and builds its
+first-maximum routing mask only in backward.  ``tests/nn/oracles.py``
+keeps the einsum/argmax formulations these replaced as test references.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor
 
 
 def _im2col(
@@ -37,27 +42,29 @@ def _im2col(
 
 
 def _col2im(
-    cols: np.ndarray,
-    input_shape: tuple[int, int, int, int],
-    kernel: tuple[int, int],
-    stride: int,
-    padding: int,
-    out_size: tuple[int, int],
+    taps: np.ndarray, input_shape: tuple[int, int, int, int], stride: int, padding: int
 ) -> np.ndarray:
-    """Scatter-add column gradients back into the input layout."""
-    n, c, h, w = input_shape
-    kh, kw = kernel
-    out_h, out_w = out_size
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    reshaped = cols.reshape(n, c, kh, kw, out_h, out_w)
+    """Sum per-tap column gradients back into the ``(N, C, H, W)`` input.
+
+    ``taps`` is ``(kh, kw, C, N, out_h * Wp)`` with ``Wp`` the padded
+    width: each output row spans a whole padded row, its entries past
+    ``out_w`` zero.  Tap ``(i, j)`` of output row ``r``, column ``q`` then
+    lands on flat padded index ``i * Wp + j + stride * (r * Wp + q)``, so
+    every tap is one strided slice of the flattened image and each of the
+    ``kh * kw`` adds runs over whole rows rather than ``out_w``-long pieces.
+    """
+    kh, kw, c, n, length = taps.shape
+    _, _, h, w = input_shape
+    padded_h, padded_w = h + 2 * padding, w + 2 * padding
+    span = stride * (length - 1) + 1
+    size = max(padded_h * padded_w, (kh - 1) * padded_w + kw - 1 + span)
+    flat = np.zeros((n, c, size), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
-            padded[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += (
-                reshaped[:, :, i, j]
-            )
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            start = i * padded_w + j
+            flat[:, :, start : start + span : stride] += taps[i, j].transpose(1, 0, 2)
+    padded = flat[:, :, : padded_h * padded_w].reshape(n, c, padded_h, padded_w)
+    return padded[:, :, padding : padding + h, padding : padding + w]
 
 
 def conv2d(
@@ -70,7 +77,7 @@ def conv2d(
         raise ValueError(f"input has {x.shape[1]} channels, weight expects {c}")
     cols, (out_h, out_w) = _im2col(x.data, (kh, kw), stride, padding)
     w_mat = weight.data.reshape(f, -1)
-    out_data = np.einsum("fk,nkp->nfp", w_mat, cols).reshape(n, f, out_h, out_w)
+    out_data = np.matmul(w_mat, cols).reshape(n, f, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, f, 1, 1)
 
@@ -79,41 +86,53 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(n, f, out_h * out_w)
         if weight.requires_grad:
-            grad_w = np.einsum("nfp,nkp->fk", grad_mat, cols).reshape(weight.shape)
-            weight._accumulate(grad_w)
+            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(grad_w.reshape(weight.shape))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if x.requires_grad:
-            grad_cols = np.einsum("fk,nfp->nkp", w_mat, grad_mat)
-            x._accumulate(
-                _col2im(grad_cols, x.shape, (kh, kw), stride, padding, (out_h, out_w))
-            )
+            # Output rows widened to the padded input width: _col2im's layout.
+            wide = np.zeros((f, n, out_h, x.shape[3] + 2 * padding), dtype=grad.dtype)
+            wide[..., :out_w] = grad.transpose(1, 0, 2, 3)
+            w_taps = weight.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, f)
+            taps = np.matmul(w_taps, wide.reshape(f, -1)).reshape(kh, kw, c, n, -1)
+            x._accumulate(_col2im(taps, x.shape, stride, padding))
 
     return Tensor(out_data, _parents=parents, _backward=backward)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling with square window; requires H, W divisible by the window."""
+    """Max pooling with square window; requires H, W divisible by the window.
+
+    The gradient of each window goes to its first maximum in row-major
+    order, the position ``argmax`` over the flattened window picks.
+    """
     stride = stride or kernel
     if stride != kernel:
         raise NotImplementedError("only stride == kernel pooling is supported")
     n, c, h, w = x.shape
     if h % kernel or w % kernel:
         raise ValueError(f"spatial dims ({h}, {w}) not divisible by pool size {kernel}")
-    out_h, out_w = h // kernel, w // kernel
-    windows = x.data.reshape(n, c, out_h, kernel, out_w, kernel)
-    windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    taps = [
+        (slice(None), slice(None), slice(i, None, kernel), slice(j, None, kernel))
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
+    out_data = x.data[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(x.data[tap], out_data, out=out_data)
 
     def backward(grad: np.ndarray) -> None:
-        grad_windows = np.zeros_like(windows)
-        np.put_along_axis(grad_windows, arg[..., None], grad[..., None], axis=-1)
-        grad_x = (
-            grad_windows.reshape(n, c, out_h, out_w, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        # The taps tile the input, so every entry of grad_x is written.
+        grad_x = np.empty_like(x.data)
+        unrouted = np.ones(out_data.shape, dtype=bool)
+        for tap in taps:
+            hit = (x.data[tap] == out_data) & unrouted
+            unrouted &= ~hit
+            np.multiply(grad, hit, out=grad_x[tap])
+        # A negative gradient times a miss is -0.0; adding 0.0 turns
+        # those into the +0.0 an unrouted entry holds.
+        grad_x += 0.0
         x._accumulate(grad_x)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)

@@ -351,11 +351,12 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward=backward)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-        out_data = np.where(mask, self.data, 0.0)
+        # np.maximum propagates NaN (np.where zeroed it), so a diverged
+        # activation still reaches the trainer's non-finite-loss guard.
+        out_data = np.maximum(self.data, 0.0)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * (self.data > 0.0))
 
         return Tensor(out_data, _parents=(self,), _backward=backward)
 

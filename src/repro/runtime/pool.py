@@ -148,8 +148,16 @@ class _Attempt:
         return (self.eligible_at, self.index) < (other.eligible_at, other.index)
 
 
-def _worker_main(worker_id: int, conn) -> None:
-    """Worker loop: recv task, run it, send outcome; ``None`` stops."""
+def _worker_main(worker_id: int, conn, inherited: "tuple") -> None:
+    """Worker loop: recv task, run it, send outcome; ``None`` stops.
+
+    ``inherited`` holds the supervisor-side pipe ends a forked child
+    copies: its own and those of siblings spawned before it.  Closing
+    them leaves the supervisor the only writer, so when it dies this
+    worker's ``recv`` sees EOF instead of blocking forever.
+    """
+    for end in inherited:
+        end.close()
     while True:
         try:
             item = conn.recv()
@@ -191,16 +199,20 @@ class _Worker:
 
     __slots__ = ("id", "process", "conn", "current", "deadline", "started_at")
 
-    def __init__(self, worker_id: int, context):
+    def __init__(self, worker_id: int, context, siblings: "list"):
         parent_conn, child_conn = context.Pipe()
         self.id = worker_id
         self.conn = parent_conn
         self.current: "_Attempt | None" = None
         self.deadline: "float | None" = None
         self.started_at = 0.0
+        # Only a forked child inherits these; spawn would pickle copies.
+        inherited = ()
+        if context.get_start_method() == "fork":
+            inherited = (parent_conn, *siblings)
         self.process = context.Process(
             target=_worker_main,
-            args=(worker_id, child_conn),
+            args=(worker_id, child_conn, inherited),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
@@ -263,7 +275,10 @@ class WorkerPool:
 
     def _spawn_worker(self) -> "_Worker | None":
         try:
-            worker = _Worker(self._next_worker_id, self._context)
+            worker = _Worker(
+                self._next_worker_id, self._context,
+                [sibling.conn for sibling in self._workers],
+            )
         except OSError as exc:
             _log.warning("worker spawn failed: %s", exc)
             return None

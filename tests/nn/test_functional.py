@@ -47,22 +47,30 @@ def test_conv2d_channel_mismatch_rejected():
         conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 4, 3, 3))))
 
 
-def test_conv2d_gradients():
+def _check_conv2d_gradients(stride, padding):
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.2, requires_grad=True)
     b = Tensor(rng.normal(size=3) * 0.1, requires_grad=True)
-    target = rng.normal(size=(2, 3, 6, 6))
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    target = rng.normal(size=out.shape)
 
     def loss_value():
-        out = conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data), padding=1)
+        out = conv2d(Tensor(x.data), Tensor(w.data), Tensor(b.data), stride, padding)
         return float(((out.data - target) ** 2).mean())
 
-    out = conv2d(x, w, b, padding=1)
     mse_loss(out, target).backward()
     for leaf in (x, w, b):
         numeric = numerical_gradient(loss_value, leaf.data)
         assert np.abs(numeric - leaf.grad).max() < 1e-6
+
+
+def test_conv2d_gradients():
+    _check_conv2d_gradients(stride=1, padding=1)
+
+
+def test_conv2d_gradients_strided_unpadded():
+    _check_conv2d_gradients(stride=2, padding=0)
 
 
 def test_max_pool_forward():
@@ -77,6 +85,23 @@ def test_max_pool_gradient_routes_to_max():
     expected = np.zeros((4, 4))
     expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
     assert np.allclose(x.grad[0, 0], expected)
+
+
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_max_pool_gradients(kernel):
+    rng = np.random.default_rng(kernel)
+    # Distinct values 0.1 apart: a 1e-6 nudge never changes a window's max.
+    data = rng.permutation(2 * 2 * 6 * 6).reshape(2, 2, 6, 6) * 0.1
+    x = Tensor(data, requires_grad=True)
+    target = rng.normal(size=(2, 2, 6 // kernel, 6 // kernel))
+
+    def loss_value():
+        out = max_pool2d(Tensor(x.data), kernel)
+        return float(((out.data - target) ** 2).mean())
+
+    mse_loss(max_pool2d(x, kernel), target).backward()
+    numeric = numerical_gradient(loss_value, x.data)
+    assert np.abs(numeric - x.grad).max() < 1e-6
 
 
 def test_max_pool_validation():

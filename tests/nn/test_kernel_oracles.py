@@ -1,0 +1,123 @@
+"""The frame CNN's kernels against the formulations they replaced.
+
+``conv2d`` sums in a different order than its einsum oracle, so it is
+held to a tolerance fixed from the dtype: ``CONV_RTOL`` times the
+largest reference magnitude.  ``max_pool2d`` and ReLU do no arithmetic
+beyond selecting values, so on finite inputs they must match their
+oracles bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from repro.nn import Tensor, conv2d, max_pool2d
+
+from .oracles import conv2d_einsum, max_pool2d_argmax, relu_where
+
+CONV_RTOL = {np.float32: 1e-4, np.float64: 1e-10}
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return array.view(np.dtype(f"u{array.dtype.itemsize}"))
+
+
+def _bit_identical(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+def _forward_backward(op, inputs, grad):
+    leaves = [Tensor(array.copy(), requires_grad=True) for array in inputs]
+    out = op(*leaves)
+    out.backward(grad)
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+def test_conv2d_matches_einsum_oracle(dtype, channels, stride, padding, kernel):
+    rng = np.random.default_rng(100 * stride + 10 * padding + channels)
+    x = rng.normal(size=(3, channels, 9, 7)).astype(dtype)
+    weight = rng.normal(size=(4, channels, *kernel)).astype(dtype)
+    bias = rng.normal(size=4).astype(dtype)
+    out_shape = conv2d_einsum(Tensor(x), Tensor(weight), stride=stride, padding=padding).shape
+    grad = rng.normal(size=out_shape).astype(dtype)
+
+    def fast(a, w, b):
+        return conv2d(a, w, b, stride=stride, padding=padding)
+
+    def oracle(a, w, b):
+        return conv2d_einsum(a, w, b, stride=stride, padding=padding)
+
+    got_out, got_grads = _forward_backward(fast, (x, weight, bias), grad)
+    ref_out, ref_grads = _forward_backward(oracle, (x, weight, bias), grad)
+    for got, ref in zip([got_out, *got_grads], [ref_out, *ref_grads]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.abs(got - ref).max() <= CONV_RTOL[dtype] * np.abs(ref).max()
+
+
+def test_conv2d_input_gradient_at_model_shapes():
+    """The frame CNN's second conv, float32, at a training batch's size."""
+    rng = np.random.default_rng(7)
+    x = rng.random((32, 8, 16, 16), dtype=np.float32)
+    weight = (rng.normal(size=(16, 8, 3, 3)) * 0.1).astype(np.float32)
+    grad = rng.normal(size=(32, 16, 16, 16)).astype(np.float32)
+    got = _forward_backward(lambda a, w: conv2d(a, w, padding=1), (x, weight), grad)
+    ref = _forward_backward(lambda a, w: conv2d_einsum(a, w, padding=1), (x, weight), grad)
+    for got_grad, ref_grad in zip(got[1], ref[1]):
+        assert np.abs(got_grad - ref_grad).max() <= CONV_RTOL[np.float32] * np.abs(ref_grad).max()
+
+
+def _relu_like(rng, shape, dtype):
+    """Rectified noise with whole zero windows and tied positive maxima."""
+    x = np.maximum(rng.normal(size=shape), 0.0).astype(dtype)
+    x[:, :, :6, :6] = 0.0  # all-zero windows for kernels 2 and 3
+    x[:, :, 6:12, 6:12] = 1.5  # windows whose every entry ties
+    x[0, 0, 6, 7] = 2.0  # one tie broken inside a tied block
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", [2, 3])
+def test_max_pool2d_is_bit_identical_to_argmax_oracle(dtype, kernel):
+    rng = np.random.default_rng(kernel)
+    x = _relu_like(rng, (4, 3, 12, 18), dtype)
+    grad = rng.normal(size=(4, 3, 12 // kernel, 18 // kernel)).astype(dtype)
+    got_out, (got_grad,) = _forward_backward(lambda a: max_pool2d(a, kernel), (x,), grad)
+    ref_out, (ref_grad,) = _forward_backward(
+        lambda a: max_pool2d_argmax(a, kernel), (x,), grad
+    )
+    assert _bit_identical(got_out, ref_out)
+    assert _bit_identical(got_grad, ref_grad)
+
+
+def test_max_pool2d_routes_tied_windows_to_first_maximum():
+    x = Tensor(np.zeros((1, 1, 2, 4)), requires_grad=True)
+    x.data[0, 0, :, 2:] = [[1.0, 3.0], [3.0, 3.0]]
+    max_pool2d(x, 2).backward(np.array([[[[5.0, 7.0]]]]))
+    assert np.array_equal(x.grad[0, 0], [[5.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_is_bit_identical_to_where_oracle(dtype):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 5, 6)).astype(dtype)
+    x[0] = 0.0
+    grad = rng.normal(size=x.shape).astype(dtype)
+    got_out, (got_grad,) = _forward_backward(lambda a: a.relu(), (x,), grad)
+    ref_out, (ref_grad,) = _forward_backward(relu_where, (x,), grad)
+    assert _bit_identical(got_out, ref_out)
+    assert _bit_identical(got_grad, ref_grad)
+
+
+def test_relu_propagates_nan_that_where_zeroed():
+    """The one change in behaviour: a NaN activation stays NaN, so a
+    diverged network reaches the trainer's non-finite-loss guard rather
+    than being silently rectified to zero."""
+    x = np.array([np.nan, -1.0, 2.0])
+    assert np.array_equal(Tensor(x).relu().data, [np.nan, 0.0, 2.0], equal_nan=True)
+    assert np.array_equal(relu_where(Tensor(x)).data, [0.0, 0.0, 2.0])
+    leaf = Tensor(x, requires_grad=True)
+    leaf.relu().backward(np.ones(3))
+    assert np.array_equal(leaf.grad, [0.0, 0.0, 1.0])

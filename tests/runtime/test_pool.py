@@ -1,5 +1,11 @@
 """WorkerPool: crash isolation, deadlines, retries, determinism, degrade."""
 
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +21,7 @@ from repro.runtime.pool import (
 from repro.runtime.telemetry import metrics, telemetry
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    "fork" not in multiprocessing.get_all_start_methods(),
     reason="pool tests assume the fork start method",
 )
 
@@ -200,3 +206,74 @@ class TestTelemetry:
         finally:
             tel.disable()
         assert aggregate["pool.attempt"]["count"] == 3
+
+
+def _report_pid_then_sleep(path):
+    Path(path).write_text(str(os.getpid()))
+    time.sleep(60.0)
+
+
+def _supervise_one_long_task(path):
+    """Child: a two-worker pool whose single task outlives the test."""
+    run_tasks(
+        [PoolTask(key="long", fn=_report_pid_then_sleep, args=(path,))],
+        PoolConfig(workers=2, retry=FAST_RETRY),
+    )
+
+
+def _proc_stat(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``; None once reaped."""
+    try:
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None and stat[1] == pid:
+                found.append(int(entry.name))
+    return found
+
+
+def _running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestSupervisorDeath:
+    def test_idle_worker_exits_when_supervisor_is_killed(self, tmp_path):
+        """A SIGKILLed supervisor closes its pipe ends; a forked worker
+        that kept copies of them (its own and earlier siblings') would
+        block in ``recv`` forever instead of seeing EOF."""
+        busy_pid = tmp_path / "busy.pid"
+        supervisor = multiprocessing.get_context("fork").Process(
+            target=_supervise_one_long_task, args=(str(busy_pid),)
+        )
+        supervisor.start()
+        workers = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (busy_pid.exists() and busy_pid.read_text()):
+                assert time.monotonic() < deadline, "long task never started"
+                time.sleep(0.02)
+            workers = _children(supervisor.pid)
+            idle = [pid for pid in workers if pid != int(busy_pid.read_text())]
+            assert len(workers) == 2 and len(idle) == 1, workers
+
+            os.kill(supervisor.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while _running(idle[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(idle[0]), "idle worker outlived its supervisor"
+        finally:
+            supervisor.kill()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            supervisor.join(timeout=10.0)

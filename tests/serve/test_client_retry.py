@@ -1,11 +1,14 @@
 """Client retries: Retry-After honoring, budgets, load-generator counts."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.models import CNNLSTMClassifier
 from repro.runtime.backoff import RetryPolicy
+from repro.runtime.telemetry import metrics
 from repro.serve import (
     EngineConfig,
     ServerConfig,
@@ -126,11 +129,28 @@ def test_retry_after_header_parsing():
 
 
 def test_burst_with_retries_recovers_shed_requests(
-    published_registry, micro_dataset
+    published_registry, micro_dataset, monkeypatch
 ):
     """Against a tiny admission queue, a burst sheds 429s — and the
-    retrying client wins them all back within its budget."""
+    retrying client wins them all back within its budget.
+
+    The engine's first batch is held until a request has been shed, so
+    the burst overflows the queue however fast inference drains it.
+    """
     registry, _ = published_registry
+    shed = metrics().counter("serve.load_shed_total")
+    predict_logits = CNNLSTMClassifier.predict_logits
+    first_batch_seen = threading.Event()
+
+    def hold_first_batch(self, *args, **kwargs):
+        if not first_batch_seen.is_set():
+            first_batch_seen.set()
+            deadline = time.monotonic() + 10.0
+            while shed.value == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        return predict_logits(self, *args, **kwargs)
+
+    monkeypatch.setattr(CNNLSTMClassifier, "predict_logits", hold_first_batch)
     server = build_server(
         registry.root,
         EngineConfig(

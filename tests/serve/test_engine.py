@@ -205,26 +205,42 @@ def test_warm_model_lru_eviction(tmp_path, trained_micro_model, micro_dataset):
     assert snapshot["serve.model_cache_misses"]["value"] >= 3
 
 
-def test_stop_drains_admitted_requests(published_registry, micro_dataset):
-    """Graceful shutdown: requests admitted before stop still complete."""
+def test_stop_drains_admitted_requests(
+    published_registry, micro_dataset, monkeypatch
+):
+    """Graceful shutdown: requests admitted before stop still complete.
+
+    The first batch is held until the other requests sit in the queue,
+    so all three are admitted before ``stop`` however long a submit
+    takes to get there.
+    """
     registry, _ = published_registry
     engine = InferenceEngine(
         registry, EngineConfig(max_batch=2, max_delay_ms=50.0)
     )
     engine.start()
+    all_admitted = threading.Event()
+    predict_logits = CNNLSTMClassifier.predict_logits
+
+    def hold_first_batch(self, x, *args, **kwargs):
+        if not all_admitted.is_set():
+            deadline = time.monotonic() + 10.0
+            while len(x) + engine.queue_depth() < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            all_admitted.set()
+        return predict_logits(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(CNNLSTMClassifier, "predict_logits", hold_first_batch)
     results = []
-    started = threading.Barrier(4)
 
     def call() -> None:
-        started.wait()
         results.append(engine.submit(micro_dataset.x[0], screen=False))
 
     threads = [threading.Thread(target=call) for _ in range(3)]
     for thread in threads:
         thread.start()
-    started.wait()
-    time.sleep(0.1)  # let all three reach the admission queue
+    assert all_admitted.wait(30.0)
     engine.stop()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=30.0)
     assert len(results) == 3

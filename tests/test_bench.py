@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import bench as bench_module
 from repro.bench import (
     BENCH_PRESETS,
     BENCH_SCHEMA_VERSION,
@@ -17,8 +18,22 @@ from repro.bench import (
 
 
 @pytest.fixture(scope="module")
-def tiny_result():
-    return run_bench("tiny")
+def placement_calls():
+    """Candidate lists the bench's placement stage handed to the scorer."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def tiny_result(placement_calls):
+    score = bench_module._score_candidates_batched
+
+    def recording_score(*args, **kwargs):
+        placement_calls.append(args[3])
+        return score(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench_module, "_score_candidates_batched", recording_score)
+        return run_bench("tiny")
 
 
 def test_presets_are_ordered_by_size():
@@ -91,6 +106,15 @@ def test_loader_accepts_current_and_legacy_files(tiny_result, tmp_path):
 def test_speedups_are_positive(tiny_result):
     for key in ("simulate", "drai", "end_to_end"):
         assert tiny_result["speedup"][key] > 0.0
+
+
+def test_placement_stage_times_the_batched_scorer(tiny_result, placement_calls):
+    """The stage times the scorer TriggerPlacementOptimizer.optimize runs,
+    every candidate in one batched call per repeat."""
+    assert "attack.placement_scoring" in tiny_result["stages"]
+    assert placement_calls
+    candidates = tiny_result["preset"]["placement_candidates"]
+    assert all(len(positions) == candidates for positions in placement_calls)
 
 
 def test_fleet_scaling_block(tiny_result):
