@@ -1,4 +1,4 @@
-"""Declarative experiment campaigns: YAML grids over the paper's runners.
+"""Declarative experiment campaigns: TOML grids over the paper's runners.
 
 A campaign config declares *what* to sweep — experiments, presets, seeds,
 preset overrides — and the runner turns it into deterministic per-cell

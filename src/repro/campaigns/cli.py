@@ -32,14 +32,14 @@ def add_campaign_arguments(subparsers) -> None:
     """Attach the ``campaign`` verb family to the main parser."""
     campaign = subparsers.add_parser(
         "campaign",
-        help="run a YAML-defined experiment grid (see examples/campaigns/)",
+        help="run a TOML-defined experiment grid (see examples/campaigns/)",
     )
     verbs = campaign.add_subparsers(dest="campaign_command", required=True)
 
     run = verbs.add_parser(
         "run", help="execute a campaign config over the worker pool"
     )
-    run.add_argument("config", metavar="CONFIG.yaml",
+    run.add_argument("config", metavar="CONFIG.toml",
                      help="campaign config file")
     run.add_argument("--workers", type=int, default=1, metavar="N",
                      help="supervised process-pool width (1 = serial)")
@@ -57,7 +57,7 @@ def add_campaign_arguments(subparsers) -> None:
     validate = verbs.add_parser(
         "validate", help="check a campaign config and print its expansion"
     )
-    validate.add_argument("config", metavar="CONFIG.yaml")
+    validate.add_argument("config", metavar="CONFIG.toml")
 
     listing = verbs.add_parser(
         "list", help="list campaign records in the runs directory"

@@ -2,22 +2,24 @@
 
 A campaign declares a parameter grid over the paper's experiment runners:
 
-.. code-block:: yaml
+.. code-block:: toml
 
-    campaign: sec6-attack-grid
-    schema_version: 1
-    preset: default
-    axes:
-      experiment: [fig8, fig9]
-      seed: [0, 1]
-    stop:
-      max_failures: 2
+    campaign = "sec6-attack-grid"
+    schema_version = 1
+    preset = "default"
+
+    [axes]
+    experiment = ["fig8", "fig9"]
+    seed = [0, 1]
+
+    [stop]
+    max_failures = 2
 
 ``axes`` take the cartesian product in declared order; ``cells`` appends
 explicit cells after the grid; ``seeds`` replicates every grid cell per
 seed.  Axis/cell keys beyond ``experiment``/``preset``/``seed`` must be
 :class:`~repro.eval.presets.ExperimentPreset` fields and become per-cell
-preset overrides (``num_frames: [16, 32]`` sweeps the frame count).
+preset overrides (``num_frames = [16, 32]`` sweeps the frame count).
 
 Validation is strict: unknown keys, non-list axes, and empty grids are
 rejected with ``field.path: message`` errors
@@ -29,8 +31,10 @@ stamped into the campaign record's meta block.
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from itertools import product
 from pathlib import Path
@@ -39,7 +43,6 @@ import numpy as np
 
 from ..eval.presets import ExperimentPreset, preset_by_name
 from ..runtime.errors import CampaignConfigError
-from .yamlish import YamlSubsetError, load_config_text
 
 #: Bump when the config layout changes; other versions are refused.
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -48,7 +51,7 @@ CAMPAIGN_SCHEMA_VERSION = 1
 _CELL_KEYS = ("experiment", "preset", "seed")
 
 #: Preset fields a campaign may override per cell.  ``name`` is identity,
-#: ``generation`` is a nested config object with no YAML representation.
+#: ``generation`` is a nested config object with no TOML representation.
 PRESET_OVERRIDE_FIELDS = tuple(
     f.name for f in dataclass_fields(ExperimentPreset)
     if f.name not in ("name", "generation")
@@ -118,7 +121,7 @@ class CampaignCell:
 
 
 def _scaled_overrides(overrides: dict) -> dict:
-    """Lists from YAML become the tuples preset fields expect."""
+    """Lists from TOML become the tuples preset fields expect."""
     return {
         key: tuple(value) if isinstance(value, list) else value
         for key, value in overrides.items()
@@ -142,7 +145,7 @@ class CampaignConfig:
     use_disk_cache: bool = True
 
     def canonical_dict(self) -> dict:
-        """The digest-stable JSON form (independent of YAML formatting)."""
+        """The digest-stable JSON form (independent of TOML formatting)."""
         return {
             "campaign": self.name,
             "schema_version": self.schema_version,
@@ -191,21 +194,17 @@ def derive_cell_seed(campaign_seed: int, cell_index: int) -> int:
 # ----------------------------------------------------------------------
 # Parsing + validation
 # ----------------------------------------------------------------------
-def load_campaign(
-    path: "str | Path", force_subset: bool = False
-) -> CampaignConfig:
-    """Read and validate a campaign config file."""
+def load_campaign(path: "str | Path") -> CampaignConfig:
+    """Read and validate a TOML campaign config file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise CampaignConfigError(str(path), [f"unreadable: {exc}"])
     try:
-        data = load_config_text(text, force_subset=force_subset)
-    except YamlSubsetError as exc:
-        raise CampaignConfigError(str(path), [str(exc)])
-    except ValueError as exc:  # PyYAML parse errors
-        raise CampaignConfigError(str(path), [f"YAML parse error: {exc}"])
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise CampaignConfigError(str(path), [f"TOML parse error: {exc}"])
     return parse_campaign(data, source=str(path))
 
 
@@ -227,6 +226,7 @@ def parse_campaign(data: object, source: str = "<config>") -> CampaignConfig:
             errors.append(
                 f"{key}: unknown key (allowed: {', '.join(_TOP_LEVEL_KEYS)})"
             )
+    _check_no_datetimes(data, "", errors)
 
     name = data.get("campaign")
     if not isinstance(name, str) or not name.strip():
@@ -302,6 +302,18 @@ def parse_campaign(data: object, source: str = "<config>") -> CampaignConfig:
     if errors:
         raise CampaignConfigError(source, errors)
     return config
+
+
+def _check_no_datetimes(value: object, path: str, errors: "list[str]") -> None:
+    """Reject TOML dates and times: the JSON config digest cannot hold them."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_no_datetimes(item, f"{path}.{key}" if path else key, errors)
+    elif isinstance(value, list):
+        for position, item in enumerate(value):
+            _check_no_datetimes(item, f"{path}[{position}]", errors)
+    elif isinstance(value, (datetime.date, datetime.time)):
+        errors.append(f"{path}: dates and times are not supported")
 
 
 def _check_int(data: dict, key: str, default: int, errors: "list[str]") -> int:

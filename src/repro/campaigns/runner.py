@@ -5,7 +5,7 @@ and formatter per paper experiment) and :func:`run_experiment` runs an
 entry on a fresh context: ``repro run <exp>`` prints the formatted
 rows, campaign cells record the metrics.
 
-``CampaignRunner`` is the only sweep path (``examples/campaigns/all.yaml``
+``CampaignRunner`` is the only sweep path (``examples/campaigns/all.toml``
 sweeps every experiment).  It expands a validated config into
 :class:`~repro.campaigns.config.CampaignCell` tasks, runs them over the
 supervised worker pool (``workers=1`` degrades to the serial in-process

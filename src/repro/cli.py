@@ -7,9 +7,9 @@ Examples::
     python -m repro run fig8 --preset default --seed 1
     python -m repro run sec6d --trace trace.json --metrics metrics.jsonl
     python -m repro stats
-    python -m repro campaign run examples/campaigns/all.yaml --workers 2
-    python -m repro campaign validate examples/campaigns/sec6d_tiny.yaml
-    python -m repro campaign run examples/campaigns/sec6d_tiny.yaml --resume
+    python -m repro campaign run examples/campaigns/all.toml --workers 2
+    python -m repro campaign validate examples/campaigns/sec6d_tiny.toml
+    python -m repro campaign run examples/campaigns/sec6d_tiny.toml --resume
     python -m repro publish --registry registry/ --preset fast --detector
     python -m repro serve --registry registry/ --port 8077
     python -m repro infer --url http://127.0.0.1:8077 --requests 50
@@ -21,10 +21,10 @@ registry + micro-batching HTTP server + load-generating client); see
 read-only control plane over everything the other verbs emit — run
 records, BENCH_*.json trajectories, campaign journals, and a live
 server's fleet metrics (see ``repro.dashboard`` and the README's
-Dashboard section).  ``campaign`` runs YAML-defined experiment grids
+Dashboard section).  ``campaign`` runs TOML-defined experiment grids
 with journaled crash-safe resume (see ``repro.campaigns`` and the
 README's Campaigns section); it is the one way to sweep several
-experiments, and ``examples/campaigns/all.yaml`` sweeps all of them.
+experiments, and ``examples/campaigns/all.toml`` sweeps all of them.
 
 ``run`` executes one experiment from the table in
 :data:`repro.campaigns.runner.EXPERIMENTS` on a fresh context and prints
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser(
         "run", help="run one experiment (sweep them all with "
-        "`campaign run examples/campaigns/all.yaml`)",
+        "`campaign run examples/campaigns/all.toml`)",
     )
     run.add_argument("experiment", choices=list(EXPERIMENTS))
     run.add_argument("--preset", default="fast",

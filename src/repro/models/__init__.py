@@ -1,13 +1,5 @@
 """The mmWave HAR prototype model: CNN-LSTM classifier, trainer, metrics."""
 
-from .augmentation import (
-    AugmentationPolicy,
-    add_noise,
-    augment_batch,
-    jitter_gain,
-    shift_spatial,
-    shift_temporal,
-)
 from .cnn_lstm import CNNLSTMClassifier, FrameEncoder, ModelConfig
 from .metrics import (
     AttackMetrics,
@@ -23,12 +15,6 @@ from .trainer import Trainer, TrainingConfig, TrainingHistory
 
 __all__ = [
     "AttackMetrics",
-    "AugmentationPolicy",
-    "add_noise",
-    "augment_batch",
-    "jitter_gain",
-    "shift_spatial",
-    "shift_temporal",
     "CNNLSTMClassifier",
     "FrameEncoder",
     "ModelConfig",

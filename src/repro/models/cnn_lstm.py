@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import (
-    GRU,
     LSTM,
     Conv2d,
     Dropout,
@@ -42,9 +41,6 @@ class ModelConfig:
     feature_dim: int = 32
     lstm_hidden: int = 48
     dropout: float = 0.2
-    #: Temporal head: "lstm" (the paper's prototype) or "gru" (a common
-    #: deployment variant for architecture-transfer studies).
-    recurrent: str = "lstm"
 
     def __post_init__(self) -> None:
         h, w = self.frame_shape
@@ -52,8 +48,6 @@ class ModelConfig:
             raise ValueError("frame dims must be divisible by 4 (two 2x2 pools)")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if self.recurrent not in ("lstm", "gru"):
-            raise ValueError("recurrent must be 'lstm' or 'gru'")
 
 
 class FrameEncoder(Module):
@@ -96,10 +90,7 @@ class CNNLSTMClassifier(Module):
         self.config = config or ModelConfig()
         rng = rng or np.random.default_rng(0)
         self.encoder = FrameEncoder(self.config, rng)
-        recurrent_cls = LSTM if self.config.recurrent == "lstm" else GRU
-        self.lstm = recurrent_cls(
-            self.config.feature_dim, self.config.lstm_hidden, rng
-        )
+        self.lstm = LSTM(self.config.feature_dim, self.config.lstm_hidden, rng)
         self.dropout = Dropout(self.config.dropout, rng)
         self.head = Linear(self.config.lstm_hidden, self.config.num_classes, rng)
         # float32 roughly halves NumPy training time at no accuracy cost.

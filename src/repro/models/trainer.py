@@ -11,11 +11,11 @@ Long campaigns additionally get fault tolerance:
   ``last.npz``/``best.npz`` weight snapshots, the Adam moments
   (``optimizer.npz``), and a ``trainer-state.json`` epoch counter every
   ``checkpoint_every`` epochs; ``resume=True`` picks the run back up from
-  the last completed epoch after a crash.  Without augmentation and with
-  ``dropout == 0`` the resumed run is bit-identical to an uninterrupted
-  one (shuffles are replayed, weights and moments restored); dropout and
-  augmentation draw from RNG streams that are not checkpointed, so those
-  runs resume correctly but on a different random trajectory.
+  the last completed epoch after a crash.  With ``dropout == 0`` the
+  resumed run is bit-identical to an uninterrupted one (shuffles are
+  replayed, weights and moments restored); dropout draws from an RNG
+  stream that is not checkpointed, so those runs resume correctly but on
+  a different random trajectory.
 * **Divergence policy** — a NaN/Inf training loss is detected *before* the
   weights are poisoned and handled per ``nan_policy``: ``"raise"`` throws
   :class:`~repro.runtime.errors.TrainingDivergenceError`, ``"restore"``
@@ -49,7 +49,6 @@ from ..runtime.errors import SimulationError, TrainingDivergenceError
 from ..runtime.guards import ensure_finite
 from ..runtime.logging import get_logger
 from ..runtime.telemetry import metrics, telemetry
-from .augmentation import AugmentationPolicy, augment_batch
 from .cnn_lstm import CNNLSTMClassifier
 from .metrics import accuracy
 
@@ -76,9 +75,6 @@ class TrainingConfig:
     patience: int = 6
     seed: int = 0
     verbose: bool = False
-    #: Optional per-batch heatmap augmentation (label preserving); None
-    #: disables it.  Used by the hardening experiments.
-    augmentation: "AugmentationPolicy | None" = None
     #: Directory for ``last``/``best`` snapshots + the resume state file;
     #: None disables checkpointing entirely.
     checkpoint_dir: "str | os.PathLike | None" = None
@@ -327,12 +323,7 @@ class Trainer:
                 with epoch_span:
                     for begin in range(0, len(order), config.batch_size):
                         batch_idx = order[begin : begin + config.batch_size]
-                        batch_data = train_x[batch_idx]
-                        if config.augmentation is not None:
-                            batch_data = augment_batch(
-                                batch_data, config.augmentation, rng
-                            ).astype(train_x.dtype)
-                        batch_x = Tensor(batch_data)
+                        batch_x = Tensor(train_x[batch_idx])
                         batch_y = train_y[batch_idx]
                         logits = model(batch_x)
                         loss = cross_entropy(logits, batch_y)

@@ -31,43 +31,28 @@ from .layers import (
     Tanh,
 )
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .normalization import BatchNorm1d, LayerNorm
-from .recurrent import GRU, LSTM, GRUCell, LSTMCell
-from .schedules import (
-    ScheduledOptimizer,
-    constant_schedule,
-    cosine_decay,
-    step_decay,
-    warmup,
-)
+from .recurrent import LSTM, LSTMCell
 from .serialization import load_checkpoint, save_checkpoint
 from .tensor import Tensor, concat, stack
 
 __all__ = [
     "Adam",
-    "BatchNorm1d",
     "Conv2d",
     "Dropout",
     "Flatten",
-    "GRU",
-    "GRUCell",
     "LSTM",
     "LSTMCell",
-    "LayerNorm",
     "Linear",
     "MaxPool2d",
     "Module",
     "Optimizer",
     "ReLU",
     "SGD",
-    "ScheduledOptimizer",
     "Sequential",
     "Tanh",
     "Tensor",
     "clip_grad_norm",
     "concat",
-    "constant_schedule",
-    "cosine_decay",
     "conv2d",
     "cross_entropy",
     "dropout",
@@ -82,7 +67,5 @@ __all__ = [
     "save_checkpoint",
     "softmax",
     "stack",
-    "step_decay",
-    "warmup",
     "xavier_uniform",
 ]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .init import orthogonal, xavier_uniform
 from .layers import Module
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, stack
 
 
 class LSTMCell(Module):
@@ -56,74 +56,6 @@ class LSTMCell(Module):
         dtype = self.weight_ih.data.dtype
         zeros = np.zeros((batch_size, self.hidden_size), dtype=dtype)
         return Tensor(zeros.copy()), Tensor(zeros.copy())
-
-
-class GRUCell(Module):
-    """One step of a GRU: ``(x_t, h) -> h'``.
-
-    The lighter-weight recurrent alternative the victim might actually
-    deploy; used by architecture-transfer studies of the threat model
-    (the attacker only assumes the victim's architecture).  Gate order in
-    the stacked matrices is (reset, update, candidate).
-    """
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        super().__init__()
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_ih = Tensor(
-            xavier_uniform((3 * hidden_size, input_size), input_size, hidden_size, rng),
-            requires_grad=True,
-        )
-        self.weight_hh = Tensor(
-            np.vstack([orthogonal((hidden_size, hidden_size), rng) for _ in range(3)]),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(3 * hidden_size), requires_grad=True)
-
-    def forward(self, x: Tensor, hidden: Tensor) -> Tensor:
-        hs = self.hidden_size
-        gates_x = x @ self.weight_ih.transpose() + self.bias
-        gates_h = hidden @ self.weight_hh.transpose()
-        reset = (gates_x[:, 0:hs] + gates_h[:, 0:hs]).sigmoid()
-        update = (gates_x[:, hs : 2 * hs] + gates_h[:, hs : 2 * hs]).sigmoid()
-        candidate = (
-            gates_x[:, 2 * hs : 3 * hs] + reset * gates_h[:, 2 * hs : 3 * hs]
-        ).tanh()
-        return update * hidden + (1.0 - update) * candidate
-
-    def initial_state(self, batch_size: int) -> Tensor:
-        dtype = self.weight_ih.data.dtype
-        return Tensor(np.zeros((batch_size, self.hidden_size), dtype=dtype))
-
-
-class GRU(Module):
-    """Unrolled single-layer GRU over ``(N, T, input_size)`` sequences."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
-        super().__init__()
-        self.cell = GRUCell(input_size, hidden_size, rng)
-        self.hidden_size = hidden_size
-
-    def forward(
-        self,
-        x: Tensor,
-        state: Tensor | None = None,
-        return_sequence: bool = False,
-    ) -> Tensor:
-        """Last hidden state ``(N, H)`` (or all states with the flag)."""
-        if x.ndim != 3:
-            raise ValueError(f"expected (N, T, F) input, got {x.shape}")
-        batch, steps, _ = x.shape
-        hidden = self.cell.initial_state(batch) if state is None else state
-        outputs = []
-        for t in range(steps):
-            hidden = self.cell(x[:, t, :], hidden)
-            if return_sequence:
-                outputs.append(hidden)
-        if return_sequence:
-            return stack(outputs, axis=1)
-        return hidden
 
 
 class LSTM(Module):

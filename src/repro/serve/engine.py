@@ -346,6 +346,10 @@ class InferenceEngine:
             sequence, model_id, bool(screen), deadline_ns, request_id
         )
         with self._wakeup:
+            # Re-checked under the lock: a request appended after stop()
+            # could outlive the worker and wait out its whole timeout.
+            if not self._running:
+                raise ServeError("engine is not running")
             if len(self._queue) >= self.config.queue_capacity:
                 metrics().counter("serve.load_shed_total").inc()
                 raise OverloadError(

@@ -200,11 +200,17 @@ class FleetConfig:
 def _replica_main(
     slot: int,
     conn,
+    inherited: "tuple",
     registry_root: str,
     engine_config: EngineConfig,
     reload_alias: str,
 ) -> None:
     """Worker loop: one micro-batching engine served over a pipe.
+
+    ``inherited`` holds the supervisor-side pipe ends a forked child
+    copies: its own and those of its live siblings.  Closing them leaves
+    the supervisor the only writer, so when it dies this replica's
+    ``recv`` sees EOF instead of blocking forever.
 
     Messages in: ``("predict", req_id, sequence, model_id, screen,
     deadline_s, request_id)``, ``("ping", seq)``, ``("warm", ref)``,
@@ -216,6 +222,8 @@ def _replica_main(
     engine histograms — ``("warmed", model_id)`` /
     ``("warm_failed", ref, reason)``.
     """
+    for end in inherited:
+        end.close()
     # Replicas must not inherit the parent's terminal signal handling:
     # drain is coordinated by the supervisor, not per-child signals.
     try:
@@ -812,12 +820,20 @@ class ReplicaFleet:
     # ------------------------------------------------------------------
     def _spawn(self, slot: _Slot, now: float) -> None:
         parent_conn, child_conn = self._context.Pipe()
+        # Only a forked child inherits these; spawn would pickle copies.
+        inherited = ()
+        if self._context.get_start_method() == "fork":
+            inherited = (parent_conn, *(
+                other.replica.conn for other in self._slots
+                if other.replica is not None
+            ))
         try:
             process = self._context.Process(
                 target=_replica_main,
                 args=(
                     slot.index,
                     child_conn,
+                    inherited,
                     str(self.registry.root),
                     self.config.engine,
                     self.config.reload_alias,

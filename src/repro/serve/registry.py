@@ -41,7 +41,7 @@ from ..runtime.telemetry import metrics, span
 _log = get_logger("serve.registry")
 
 #: Bump when the manifest layout changes; ``load`` refuses other versions.
-REGISTRY_SCHEMA_VERSION = 1
+REGISTRY_SCHEMA_VERSION = 2
 
 _WEIGHTS_FILE = "weights.npz"
 _DETECTOR_FILE = "detector.npz"

@@ -5,7 +5,6 @@ from .frame_importance import (
     FrameImportanceResult,
     top_k_frames,
 )
-from .occlusion import occlusion_importance, occlusion_shap_agreement
 from .shap import KernelShapExplainer, PermutationShapExplainer, ShapConfig
 
 __all__ = [
@@ -14,7 +13,5 @@ __all__ = [
     "KernelShapExplainer",
     "PermutationShapExplainer",
     "ShapConfig",
-    "occlusion_importance",
-    "occlusion_shap_agreement",
     "top_k_frames",
 ]

@@ -46,13 +46,13 @@ def _fail_if_called(ctx):  # pragma: no cover - would mean resume is broken
 
 
 def write_config(tmp_path, experiments, seed=0):
-    path = tmp_path / "chaos.yaml"
+    path = tmp_path / "chaos.toml"
     path.write_text(
-        "campaign: chaos\n"
-        "preset: fast\n"
-        f"seeds: [{seed}]\n"
-        "axes:\n"
-        f"  experiment: [{', '.join(experiments)}]\n"
+        'campaign = "chaos"\n'
+        'preset = "fast"\n'
+        f"seeds = [{seed}]\n"
+        "[axes]\n"
+        f"experiment = {json.dumps(list(experiments))}\n"
     )
     return path
 

@@ -7,14 +7,13 @@ from repro.campaigns import Experiment
 from repro.campaigns import runner as runner_module
 
 
-def _write_config(tmp_path, name="cli-demo", seeds="[0, 1]", extra=""):
-    path = tmp_path / "campaign.yaml"
+def _write_config(tmp_path, name="cli-demo", seeds="[0, 1]"):
+    path = tmp_path / "campaign.toml"
     path.write_text(
-        f"campaign: {name}\n"
-        "preset: fast\n"
-        "experiment: sec6d\n"
-        f"seeds: {seeds}\n"
-        f"{extra}"
+        f'campaign = "{name}"\n'
+        'preset = "fast"\n'
+        'experiment = "sec6d"\n'
+        f"seeds = {seeds}\n"
     )
     return path
 
@@ -36,13 +35,13 @@ def test_validate_accepts_good_config(tmp_path, capsys):
 
 
 def test_validate_rejects_bad_config_with_field_paths(tmp_path, capsys):
-    path = tmp_path / "bad.yaml"
+    path = tmp_path / "bad.toml"
     path.write_text(
-        "campaign: bad\n"
-        "experiment: sec6d\n"
-        "wat: 1\n"
-        "axes:\n"
-        "  seed: 3\n"
+        'campaign = "bad"\n'
+        'experiment = "sec6d"\n'
+        "wat = 1\n"
+        "[axes]\n"
+        "seed = 3\n"
     )
     assert cli.main(["campaign", "validate", str(path)]) == 2
     logged = capsys.readouterr().err
@@ -50,9 +49,36 @@ def test_validate_rejects_bad_config_with_field_paths(tmp_path, capsys):
     assert "axes.seed: must be a list" in logged
 
 
+@pytest.mark.parametrize("name, text", [
+    pytest.param(
+        "unclosed.toml", 'campaign = "demo"\n[axes]\nexperiment = ["fig8"\n',
+        id="malformed-toml",
+    ),
+    # A config in the YAML layout, which the loader does not read.
+    pytest.param(
+        "sec6d_tiny.yaml",
+        "campaign: sec6d-tiny\npreset: fast\nexperiment: sec6d\nseeds: [0, 1]\n",
+        id="yaml-config",
+    ),
+    pytest.param(
+        "unclosed.yaml", "campaign: demo\naxes: [fig8\n", id="malformed-yaml",
+    ),
+])
+def test_validate_rejects_unparseable_config_without_traceback(
+    tmp_path, capsys, name, text
+):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main(["campaign", "validate", str(path)]) == 2
+    logged = capsys.readouterr().err
+    assert str(path) in logged
+    assert "TOML parse error" in logged
+    assert "Traceback" not in logged
+
+
 def test_validate_rejects_empty_grid(tmp_path):
-    path = tmp_path / "empty.yaml"
-    path.write_text("campaign: empty\n")
+    path = tmp_path / "empty.toml"
+    path.write_text('campaign = "empty"\n')
     assert cli.main(["campaign", "validate", str(path)]) == 2
 
 
@@ -192,8 +218,8 @@ def test_list_empty_runs_dir_exit_code(tmp_path, capsys):
 
 
 def test_run_rejects_invalid_config(tmp_path, capsys):
-    path = tmp_path / "bad.yaml"
-    path.write_text("campaign: bad\nexperiment: fig99\n")
+    path = tmp_path / "bad.toml"
+    path.write_text('campaign = "bad"\nexperiment = "fig99"\n')
     assert cli.main(["campaign", "run", str(path)]) == 2
     assert "unknown experiment 'fig99'" in capsys.readouterr().err
 

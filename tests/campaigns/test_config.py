@@ -1,5 +1,7 @@
 """Tests for campaign config parsing, validation, and grid expansion."""
 
+import datetime
+
 import pytest
 
 from repro.campaigns import (
@@ -51,6 +53,16 @@ def test_non_list_axis_rejected():
 def test_unknown_axis_rejected():
     errors = _errors(_minimal(axes={"bogus": [1, 2]}))
     assert any(error.startswith("axes.bogus: unknown axis") for error in errors)
+
+
+def test_toml_dates_and_times_rejected():
+    """TOML parses dates natively; the JSON config digest cannot hold them."""
+    errors = _errors(_minimal(
+        axes={"epochs": [datetime.date(1979, 5, 27)]},
+        cells=[{"seed": 1, "num_frames": datetime.time(7, 32)}],
+    ))
+    assert "axes.epochs[0]: dates and times are not supported" in errors
+    assert "cells[0].num_frames: dates and times are not supported" in errors
 
 
 def test_empty_grid_rejected():
@@ -167,17 +179,19 @@ def test_override_axes_become_preset_overrides():
 
 # -- digest -------------------------------------------------------------
 
-def test_digest_independent_of_yaml_formatting(tmp_path):
-    a = tmp_path / "a.yaml"
-    b = tmp_path / "b.yaml"
+def test_digest_independent_of_toml_formatting(tmp_path):
+    a = tmp_path / "a.toml"
+    b = tmp_path / "b.toml"
     a.write_text(
-        "campaign: demo\nexperiment: sec6d\nseeds: [0, 1]\n"
+        'campaign = "demo"\nexperiment = "sec6d"\nseeds = [0, 1]\n'
+        "[stop]\nmax_failures = 2\n"
     )
     b.write_text(
         "# same campaign, different formatting\n"
-        "campaign: demo\n"
-        "experiment: sec6d\n"
-        "seeds:\n  - 0\n  - 1\n"
+        "campaign = 'demo'\n"
+        'experiment = "sec6d"\n'
+        "stop = { max_failures = 2 }\n"
+        "seeds = [\n  0,  # first\n  1,\n]\n"
     )
     assert config_digest(load_campaign(a)) == config_digest(load_campaign(b))
 
@@ -195,20 +209,7 @@ def test_journal_fingerprint_names_digest():
     assert fingerprint["config_digest"] == config_digest(config)
 
 
-def test_load_campaign_subset_matches_default_loader(tmp_path):
-    path = tmp_path / "c.yaml"
-    path.write_text(
-        "campaign: demo\npreset: fast\n"
-        "axes:\n  experiment: [fig8, fig9]\n  seed: [0, 1]\n"
-        "stop:\n  max_failures: 2\n"
-    )
-    via_default = load_campaign(path)
-    via_subset = load_campaign(path, force_subset=True)
-    assert via_default == via_subset
-    assert config_digest(via_default) == config_digest(via_subset)
-
-
 def test_load_campaign_missing_file():
     with pytest.raises(CampaignConfigError) as excinfo:
-        load_campaign("/nonexistent/campaign.yaml")
+        load_campaign("/nonexistent/campaign.toml")
     assert any("unreadable" in error for error in excinfo.value.errors)

@@ -90,28 +90,3 @@ def test_trigger_visible_in_features(model, rng):
     assert deltas[3] > 0.0
     unchanged = np.delete(np.arange(8), 3)
     assert np.allclose(deltas[unchanged], 0.0, atol=1e-6)
-
-
-def test_gru_variant_forward(rng):
-    from dataclasses import replace
-
-    config = replace(
-        ModelConfig(frame_shape=(16, 16), conv_channels=(4, 8),
-                    feature_dim=12, lstm_hidden=16),
-        recurrent="gru",
-    )
-    model = CNNLSTMClassifier(config, np.random.default_rng(0))
-    logits = model.predict_logits(rng.random((2, 4, 16, 16)))
-    assert logits.shape == (2, 6)
-    # The GRU head is lighter than the LSTM head.
-    lstm_model = CNNLSTMClassifier(
-        replace(config, recurrent="lstm"), np.random.default_rng(0)
-    )
-    assert model.num_parameters() < lstm_model.num_parameters()
-
-
-def test_recurrent_choice_validated():
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        ModelConfig(frame_shape=(16, 16), recurrent="transformer")

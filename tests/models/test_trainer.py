@@ -119,23 +119,3 @@ def test_best_weights_restored(trained):
     val_loss, _ = trainer.evaluate(model, x, y)
     assert np.isfinite(val_loss)
     assert history.best_epoch <= history.num_epochs - 1
-
-
-def test_training_with_augmentation_policy():
-    from repro.models import AugmentationPolicy
-
-    x, y = _separable_data(n_per_class=4)
-    config = ModelConfig(
-        frame_shape=(16, 16), num_classes=3, conv_channels=(4, 8),
-        feature_dim=12, lstm_hidden=16, dropout=0.0,
-    )
-    model = CNNLSTMClassifier(config, np.random.default_rng(3))
-    trainer = Trainer(
-        TrainingConfig(
-            epochs=6, validation_fraction=0.0, seed=0,
-            augmentation=AugmentationPolicy(noise_std=0.02, max_time_shift=1),
-        )
-    )
-    history = trainer.fit(model, x, y)
-    # Augmented training still learns the trivially separable data.
-    assert history.train_accuracy[-1] > 0.6

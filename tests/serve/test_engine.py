@@ -115,6 +115,27 @@ def test_submit_requires_running_engine(published_registry, micro_dataset):
         engine.submit(micro_dataset.x[0])
 
 
+def test_submit_racing_stop_is_refused(
+    published_registry, micro_dataset, monkeypatch
+):
+    """A stop() landing between submit's first check and its enqueue must
+    refuse the request, not queue it behind an exited worker."""
+    registry, _ = published_registry
+    engine = InferenceEngine(registry, EngineConfig(default_timeout_s=2.0))
+    engine.start()
+    resolve = registry.resolve
+
+    def resolve_then_stop(ref):
+        engine.stop()
+        return resolve(ref)
+
+    monkeypatch.setattr(registry, "resolve", resolve_then_stop)
+    started = time.monotonic()
+    with pytest.raises(ServeError, match="not running"):
+        engine.submit(micro_dataset.x[0], screen=False)
+    assert time.monotonic() - started < 1.0
+
+
 def test_full_queue_sheds_load(published_registry, micro_dataset):
     """Admission control: a full queue raises OverloadError immediately
     instead of buffering without bound."""

@@ -1,8 +1,11 @@
 """Replica fleet: routing, supervision, respawn, drain, hot reload."""
 
+import multiprocessing
 import os
+import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.serve import EngineConfig, FleetConfig, ModelRegistry, ReplicaFleet
 from repro.serve.fleet import REPLICA_STATES, ReplicaState, _rebuild_error
 
 from ..conftest import MICRO_MODEL_CONFIG
+from ..runtime.test_pool import _running
 from .conftest import NUM_FRAMES
 
 
@@ -285,6 +289,45 @@ def test_rebuild_error_preserves_the_typed_subclass():
     # Unknown / non-ReproError types degrade to the ServeError base, never
     # to an unpickling crash.
     assert isinstance(_rebuild_error("SomethingWeird", "??"), ServeError)
+
+
+def _serve_until_killed(registry_root, pids_path):
+    """Child: a two-replica fleet that runs until it is SIGKILLed."""
+    fleet = ReplicaFleet(ModelRegistry(registry_root), fast_config(2)).start()
+    assert fleet.wait_until_ready(2, 30.0)
+    pids = " ".join(str(state["pid"]) for state in fleet.replica_states())
+    Path(f"{pids_path}.tmp").write_text(pids)
+    os.replace(f"{pids_path}.tmp", pids_path)
+    time.sleep(600.0)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_replicas_exit_when_supervisor_is_killed(published_registry, tmp_path):
+    """A SIGKILLed supervisor closes its pipe ends; a forked replica that
+    kept copies of them (its own and its siblings') would block in
+    ``recv`` forever instead of seeing EOF."""
+    registry, _ = published_registry
+    pids_path = tmp_path / "replicas.pid"
+    supervisor = multiprocessing.get_context("fork").Process(
+        target=_serve_until_killed, args=(str(registry.root), str(pids_path))
+    )
+    supervisor.start()
+    replicas = []
+    try:
+        assert wait_for(pids_path.exists, timeout_s=60.0), "fleet never ready"
+        replicas = [int(pid) for pid in pids_path.read_text().split()]
+        assert len(replicas) == 2 and all(map(_running, replicas)), replicas
+
+        os.kill(supervisor.pid, signal.SIGKILL)
+        assert wait_for(
+            lambda: not any(map(_running, replicas)), timeout_s=5.0
+        ), "a replica outlived its supervisor"
+    finally:
+        supervisor.kill()
+        for pid in replicas:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        supervisor.join(timeout=10.0)
 
 
 def test_fleet_refuses_double_start(fleet):

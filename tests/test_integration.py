@@ -142,37 +142,3 @@ def test_poisoned_frames_carry_trigger_signature(micro_generator):
     assert (per_frame[frame_indices] > 0.0).all()
     untouched = np.delete(np.arange(pool.num_frames), frame_indices)
     assert np.allclose(per_frame[untouched], 0.0)
-
-
-def test_attack_plan_transfers_across_architectures(pipeline):
-    """Threat model: the attacker's surrogate may not match the victim's
-    temporal head.  A GRU surrogate must still produce a usable plan
-    (valid frames, a radar-facing attachment point)."""
-    from dataclasses import replace
-
-    from repro.attack import BackdoorConfig, BackdoorAttack
-    from repro.attack.placement import PlacementConfig
-    from repro.models import Trainer
-
-    gru_config = replace(MICRO_MODEL_CONFIG, recurrent="gru")
-    surrogate = CNNLSTMClassifier(gru_config, np.random.default_rng(11))
-    attacker_data = pipeline["attacker_generator"].generate_dataset(
-        samples_per_class=2
-    )
-    Trainer(pipeline["training"]).fit(surrogate, attacker_data.x, attacker_data.y)
-
-    attack = BackdoorAttack(
-        surrogate,
-        pipeline["attacker_generator"],
-        BackdoorConfig(
-            scenario=SCENARIO,
-            num_poisoned_frames=2,
-            shap=ShapConfig(num_samples=24, seed=0),
-            placement=PlacementConfig(grid_nx=1, grid_nz=1),
-            num_shap_samples=1,
-            planning_position=(1.0, 0.0),
-        ),
-    )
-    plan = attack.plan()
-    assert len(plan.frame_indices) == 2
-    assert plan.attachment_position[1] < 0.0  # radar-facing side of the body
