@@ -21,6 +21,7 @@ from pathlib import Path
 
 from ..runtime.records import default_runs_dir, git_revision
 from ..runtime.telemetry import write_text_atomic
+from ..runtime.threads import blas_threads, usable_cores
 
 #: Bump when the record layout changes; other versions are refused.
 CAMPAIGN_RECORD_SCHEMA_VERSION = 1
@@ -32,6 +33,8 @@ def campaign_meta() -> dict:
         "git_sha": git_revision(),
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cpu_count": os.cpu_count(),
+        "usable_cores": usable_cores(),
+        "blas_threads": blas_threads(),
         "hostname": platform.node(),
         "python": platform.python_version(),
     }

@@ -46,6 +46,7 @@ from ..geometry.visibility import (
     visible_mask_from_geometry,
 )
 from ..runtime.telemetry import metrics, span
+from ..runtime.threads import blas_threads, usable_cores
 from .antenna import AntennaArray
 from .chirp import SPEED_OF_LIGHT, ChirpConfig
 
@@ -64,9 +65,10 @@ _MAX_FACET_BUDGET = 262144
 def chunk_facet_budget() -> int:
     """Visible-facet budget per synthesis chunk, adapted to the machine.
 
-    Scales the 1-CPU baseline with ``os.cpu_count()`` — wider machines
-    have proportionally more aggregate cache and BLAS parallelism to feed,
-    so larger chunks keep the GEMMs efficient — and clamps the result to
+    Scales the 1-CPU baseline with this process's BLAS threads (its
+    usable cores where BLAS threads cannot be read) — more threads have
+    proportionally more aggregate cache and BLAS parallelism to feed, so
+    larger chunks keep the GEMMs efficient — and clamps the result to
     ``[_MIN_FACET_BUDGET, _MAX_FACET_BUDGET]``.  ``REPRO_FACET_BUDGET``
     overrides the heuristic (still clamped); an unparsable override is
     ignored rather than crashing mid-simulation.
@@ -77,7 +79,7 @@ def chunk_facet_budget() -> int:
             return max(_MIN_FACET_BUDGET, min(_MAX_FACET_BUDGET, int(override)))
         except ValueError:
             pass
-    cores = os.cpu_count() or 1
+    cores = blas_threads() or usable_cores()
     return max(_MIN_FACET_BUDGET, min(_MAX_FACET_BUDGET, _BASE_FACET_BUDGET * cores))
 
 

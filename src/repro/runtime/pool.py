@@ -20,6 +20,9 @@ rest of the pipeline already guarantees in-process:
 * **Graceful degradation** — ``workers <= 1``, a failed pool start, or
   every worker dying falls back to the serial in-process path with the
   same retry semantics; the sweep always completes.
+* **Shared cores** — each worker runs its share of the usable cores as
+  BLAS threads (:func:`~repro.runtime.threads.worker_blas_share`), so
+  the workers do not oversubscribe the machine.
 
 Determinism: the pool itself adds none of its own randomness.  Callers
 derive per-task seeds via :func:`derive_task_seed` so results are
@@ -49,6 +52,7 @@ from .backoff import RetryPolicy
 from .errors import PoolError
 from .logging import get_logger
 from .telemetry import metrics, telemetry
+from .threads import set_blas_threads, worker_blas_share
 
 __all__ = [
     "PoolConfig",
@@ -148,16 +152,22 @@ class _Attempt:
         return (self.eligible_at, self.index) < (other.eligible_at, other.index)
 
 
-def _worker_main(worker_id: int, conn, inherited: "tuple") -> None:
+def _worker_main(
+    worker_id: int, conn, inherited: "tuple", blas_share: "int | None"
+) -> None:
     """Worker loop: recv task, run it, send outcome; ``None`` stops.
 
     ``inherited`` holds the supervisor-side pipe ends a forked child
     copies: its own and those of siblings spawned before it.  Closing
     them leaves the supervisor the only writer, so when it dies this
     worker's ``recv`` sees EOF instead of blocking forever.
+    ``blas_share`` is this worker's BLAS thread count (see
+    :func:`~repro.runtime.threads.worker_blas_share`).
     """
     for end in inherited:
         end.close()
+    if blas_share is not None:
+        set_blas_threads(blas_share)
     while True:
         try:
             item = conn.recv()
@@ -199,7 +209,9 @@ class _Worker:
 
     __slots__ = ("id", "process", "conn", "current", "deadline", "started_at")
 
-    def __init__(self, worker_id: int, context, siblings: "list"):
+    def __init__(
+        self, worker_id: int, context, siblings: "list", blas_share: "int | None"
+    ):
         parent_conn, child_conn = context.Pipe()
         self.id = worker_id
         self.conn = parent_conn
@@ -212,7 +224,7 @@ class _Worker:
             inherited = (parent_conn, *siblings)
         self.process = context.Process(
             target=_worker_main,
-            args=(worker_id, child_conn, inherited),
+            args=(worker_id, child_conn, inherited, blas_share),
             name=f"repro-pool-{worker_id}",
             daemon=True,
         )
@@ -257,6 +269,7 @@ class WorkerPool:
         self._next_worker_id = 0
         self._respawn_budget = 0
         self._degraded = False
+        self._blas_share: "int | None" = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -277,7 +290,7 @@ class WorkerPool:
         try:
             worker = _Worker(
                 self._next_worker_id, self._context,
-                [sibling.conn for sibling in self._workers],
+                [sibling.conn for sibling in self._workers], self._blas_share,
             )
         except OSError as exc:
             _log.warning("worker spawn failed: %s", exc)
@@ -340,6 +353,8 @@ class WorkerPool:
         return [results[index] for index in range(len(tasks))]
 
     def _start_workers(self) -> None:
+        # Computed once, so respawned workers get the same share.
+        self._blas_share = worker_blas_share(self.config.workers)
         for _ in range(self.config.workers):
             worker = self._spawn_worker()
             if worker is not None:

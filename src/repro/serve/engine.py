@@ -38,6 +38,7 @@ from ..models.cnn_lstm import softmax
 from ..runtime.errors import DeadlineExceededError, OverloadError, ServeError
 from ..runtime.logging import get_logger
 from ..runtime.telemetry import metrics, span, telemetry
+from ..runtime.threads import blas_threads
 from .registry import LoadedModel, ModelRegistry
 
 _log = get_logger("serve.engine")
@@ -287,6 +288,7 @@ class InferenceEngine:
             "respawns": 0,
             "uptime_s": round(uptime, 3),
             "warmed": warmed,
+            "blas_threads": blas_threads(),
         }]
 
     def describe(self) -> dict:

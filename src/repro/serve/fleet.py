@@ -72,6 +72,7 @@ from ..runtime.errors import (
 )
 from ..runtime.logging import get_logger
 from ..runtime.telemetry import MetricsRegistry, metrics, span
+from ..runtime.threads import blas_threads, set_blas_threads, worker_blas_share
 from .engine import SERVE_LATENCY_BUCKETS, EngineConfig, InferenceEngine, Prediction
 from .registry import ModelRegistry
 
@@ -204,19 +205,23 @@ def _replica_main(
     registry_root: str,
     engine_config: EngineConfig,
     reload_alias: str,
+    blas_share: "int | None",
 ) -> None:
     """Worker loop: one micro-batching engine served over a pipe.
 
     ``inherited`` holds the supervisor-side pipe ends a forked child
     copies: its own and those of its live siblings.  Closing them leaves
     the supervisor the only writer, so when it dies this replica's
-    ``recv`` sees EOF instead of blocking forever.
+    ``recv`` sees EOF instead of blocking forever.  ``blas_share`` is
+    this replica's BLAS thread count (see
+    :func:`~repro.runtime.threads.worker_blas_share`).
 
     Messages in: ``("predict", req_id, sequence, model_id, screen,
     deadline_s, request_id)``, ``("ping", seq)``, ``("warm", ref)``,
     ``("fault", kind, arg)`` (chaos injection), ``None`` (stop).
-    Messages out: ``("started", warmed_id)``, ``("result", req_id, ok,
-    prediction, error_type, error_msg)``, ``("pong", seq, stats)`` —
+    Messages out: ``("started", warmed_id, blas_threads)``,
+    ``("result", req_id, ok, prediction, error_type, error_msg)``,
+    ``("pong", seq, stats)`` —
     where ``stats`` piggybacks this process's full ``MetricsRegistry``
     snapshot, the transport that lets the parent aggregate worker-side
     engine histograms — ``("warmed", model_id)`` /
@@ -224,6 +229,8 @@ def _replica_main(
     """
     for end in inherited:
         end.close()
+    if blas_share is not None:
+        set_blas_threads(blas_share)
     # Replicas must not inherit the parent's terminal signal handling:
     # drain is coordinated by the supervisor, not per-child signals.
     try:
@@ -252,7 +259,7 @@ def _replica_main(
         warmed = engine.warm(reload_alias).model_id
     except ReproError as exc:
         _log.info("replica %d has no warm model yet: %s", slot, exc)
-    _send(("started", warmed))
+    _send(("started", warmed, blas_threads()))
 
     # Each predict runs in its own thread so concurrent requests coalesce
     # inside the child's micro-batching engine; the limiter bounds thread
@@ -371,6 +378,8 @@ class _Replica:
         self.last_pong = time.monotonic()
         self.window: "deque[tuple[bool, float]]" = deque(maxlen=window)
         self.warmed_models: "set[str]" = set()
+        #: The child's BLAS thread count (None until it has started).
+        self.blas_threads: "int | None" = None
         self.receiver: "threading.Thread | None" = None
         #: Last metrics snapshot piggybacked on a pong (None until the
         #: first heartbeat round-trips).
@@ -396,6 +405,7 @@ class _Replica:
             "respawns": respawns,
             "uptime_s": round(time.monotonic() - self.spawned_at, 3),
             "warmed": sorted(self.warmed_models),
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -457,6 +467,7 @@ class ReplicaFleet:
         # (a respawned replica restarts its counters from zero).
         self._retired_metrics = MetricsRegistry()
         self._retired_lock = threading.Lock()
+        self._blas_share: "int | None" = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -472,6 +483,8 @@ class ReplicaFleet:
             )
         except ReproError:
             pass  # empty registry; pin once the alias first resolves
+        # Computed once, so respawned replicas get the same share.
+        self._blas_share = worker_blas_share(self.config.replicas)
         now = time.monotonic()
         for slot in self._slots:
             self._spawn(slot, now)
@@ -583,6 +596,7 @@ class ReplicaFleet:
                 "respawns": slot.attempts,
                 "uptime_s": 0.0,
                 "warmed": [],
+                "blas_threads": None,
             }
             for slot in self._slots
         ]
@@ -837,6 +851,7 @@ class ReplicaFleet:
                     str(self.registry.root),
                     self.config.engine,
                     self.config.reload_alias,
+                    self._blas_share,
                 ),
                 name=f"repro-replica-{slot.index}",
                 daemon=True,
@@ -892,7 +907,7 @@ class ReplicaFleet:
                 if snapshot is not None:
                     replica.metrics_snapshot = snapshot
             elif kind == "started":
-                warmed = message[1]
+                _, warmed, replica.blas_threads = message
                 if warmed:
                     replica.warmed_models.add(warmed)
                 if replica.state == ReplicaState.STARTING:

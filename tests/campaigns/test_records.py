@@ -45,6 +45,8 @@ def test_write_load_roundtrip(tmp_path):
     assert loaded.cells == record.cells
     assert loaded.meta["git_sha"] == record.meta["git_sha"]
     assert loaded.meta["cpu_count"] == record.meta["cpu_count"]
+    assert 1 <= loaded.meta["usable_cores"] <= loaded.meta["cpu_count"]
+    assert loaded.meta["blas_threads"] == record.meta["blas_threads"]
 
 
 def test_name_collisions_get_counter_suffix(tmp_path):

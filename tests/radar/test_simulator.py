@@ -190,24 +190,24 @@ def test_empty_sequence_rejected(simulator):
 # ----------------------------------------------------------------------
 
 def test_facet_budget_scales_with_cores(monkeypatch):
-    import os
-
     from repro.radar import simulator as sim
 
     monkeypatch.delenv("REPRO_FACET_BUDGET", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "blas_threads", lambda: 2)
     assert sim.chunk_facet_budget() == sim._BASE_FACET_BUDGET * 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    # Without BLAS thread control the usable cores stand in.
+    monkeypatch.setattr(sim, "blas_threads", lambda: None)
+    monkeypatch.setattr(sim, "usable_cores", lambda: 1)
     assert sim.chunk_facet_budget() == sim._BASE_FACET_BUDGET
+    monkeypatch.setattr(sim, "usable_cores", lambda: 3)
+    assert sim.chunk_facet_budget() == sim._BASE_FACET_BUDGET * 3
 
 
 def test_facet_budget_clamped_to_bounds(monkeypatch):
-    import os
-
     from repro.radar import simulator as sim
 
     monkeypatch.delenv("REPRO_FACET_BUDGET", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1024)
+    monkeypatch.setattr(sim, "blas_threads", lambda: 1024)
     assert sim.chunk_facet_budget() == sim._MAX_FACET_BUDGET
 
 
@@ -223,12 +223,10 @@ def test_facet_budget_env_override_and_clamp(monkeypatch):
 
 
 def test_facet_budget_ignores_malformed_override(monkeypatch):
-    import os
-
     from repro.radar import simulator as sim
 
     monkeypatch.setenv("REPRO_FACET_BUDGET", "not-a-number")
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(sim, "blas_threads", lambda: 1)
     assert sim.chunk_facet_budget() == sim._BASE_FACET_BUDGET
 
 

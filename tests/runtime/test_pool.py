@@ -19,6 +19,7 @@ from repro.runtime.pool import (
     run_tasks,
 )
 from repro.runtime.telemetry import metrics, telemetry
+from repro.runtime.threads import blas_threads, worker_blas_share
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -39,6 +40,10 @@ def _echo_rng(campaign_seed, task_index):
 
 def _boom():
     raise RuntimeError("task exploded")
+
+
+def _pid_and_blas_threads():
+    return os.getpid(), blas_threads()
 
 
 class TestDeriveTaskSeed:
@@ -78,6 +83,17 @@ class TestPoolBasics:
         serial = run_tasks(tasks, PoolConfig(workers=1, retry=FAST_RETRY))
         parallel = run_tasks(tasks, PoolConfig(workers=3, retry=FAST_RETRY))
         assert [r.value for r in serial] == [r.value for r in parallel]
+
+    def test_workers_run_their_blas_share(self):
+        before = blas_threads()
+        if before is None:
+            pytest.skip("NumPy's BLAS thread count cannot be read")
+        # Two tasks on two idle workers: the first dispatch gives one to each.
+        tasks = [PoolTask(key=f"t{i}", fn=_pid_and_blas_threads) for i in range(2)]
+        results = run_tasks(tasks, PoolConfig(workers=2, retry=FAST_RETRY))
+        assert len({r.value[0] for r in results}) == 2
+        assert [r.value[1] for r in results] == [worker_blas_share(2)] * 2
+        assert blas_threads() == before
 
     def test_on_result_sees_every_terminal_outcome(self):
         seen = []

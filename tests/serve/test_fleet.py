@@ -22,6 +22,7 @@ from repro.runtime.errors import (
     ServeError,
 )
 from repro.runtime.telemetry import metrics
+from repro.runtime.threads import blas_threads, worker_blas_share
 from repro.serve import EngineConfig, FleetConfig, ModelRegistry, ReplicaFleet
 from repro.serve.fleet import REPLICA_STATES, ReplicaState, _rebuild_error
 
@@ -87,11 +88,16 @@ def test_fleet_round_trip_and_states(fleet, published_registry, micro_dataset):
     prediction = fleet.submit(micro_dataset.x[0])
     assert prediction.model_id == model_id
     assert prediction.label == int(np.argmax(prediction.probabilities))
+    # start() returns once the first replica is READY; await the second.
+    assert fleet.wait_until_ready(2, 20.0)
     states = fleet.replica_states()
     assert [state["slot"] for state in states] == [0, 1]
     assert all(state["state"] == ReplicaState.READY for state in states)
     assert all(state["pid"] not in (None, os.getpid()) for state in states)
     assert all(model_id in state["warmed"] for state in states)
+    share = worker_blas_share(2)
+    if share is not None:
+        assert [state["blas_threads"] for state in states] == [share, share]
     info = fleet.describe()
     assert info["ready"] == 2 and info["total"] == 2
     assert info["draining"] is False
@@ -130,6 +136,9 @@ def test_kill_dash_nine_respawns_and_keeps_serving(fleet, micro_dataset):
 
     assert wait_for(respawned)
     assert metrics().counter("fleet.respawns_total").value > before
+    share = worker_blas_share(2)
+    if share is not None:
+        assert fleet.replica_states()[0]["blas_threads"] == share
     prediction = fleet.submit(micro_dataset.x[0])
     assert prediction.model_id.startswith("m-")
 
@@ -202,6 +211,7 @@ def test_respawn_budget_exhaustion_opens_the_circuit(
         # Budget exhausted: the slot stays empty and submission sheds.
         time.sleep(0.2)
         assert fleet.replica_states()[0]["state"] == ReplicaState.DEAD
+        assert fleet.replica_states()[0]["blas_threads"] is None
         with pytest.raises(CircuitOpenError) as excinfo:
             fleet.submit(micro_dataset.x[0])
         assert excinfo.value.retry_after_s > 0.0
@@ -341,6 +351,7 @@ def test_engine_exposes_single_replica_view(engine):
     assert states[0]["slot"] == 0
     assert states[0]["state"] == ReplicaState.READY
     assert states[0]["pid"] == os.getpid()
+    assert states[0]["blas_threads"] == blas_threads()
     info = engine.describe()
     assert info["ready"] == 1 and info["total"] == 1
     assert info["draining"] is False
