@@ -19,14 +19,18 @@ from .placement import PlacementResult
 def weighted_geometric_median(
     points: np.ndarray,
     weights: np.ndarray | None = None,
-    max_iterations: int = 200,
-    tolerance: float = 1e-9,
+    max_iterations: int = 20_000,
+    tolerance: float = 1e-12,
 ) -> np.ndarray:
     """Weiszfeld's algorithm for the weighted geometric median.
 
-    Handles the degenerate cases (a single point, all weights on one
-    point, an iterate landing exactly on a data point) that the textbook
-    iteration divides by zero on.
+    A data point ``p_k`` is the median exactly when the others' unit
+    pulls on it, ``|| sum_{i != k} w_i (p_i - p_k) / ||p_i - p_k|| ||``,
+    do not exceed its own weight (coincident points pool their weights).
+    Weiszfeld's iteration only approaches such a point, so each one is
+    tested first.  Otherwise the median lies off every data point and
+    the iteration converges to it; an iterate that lands on a data
+    point anyway is moved off it by the Vardi-Zhang step.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -46,23 +50,27 @@ def weighted_geometric_median(
         total = float(n)
     weights = weights / total
 
+    # offsets[k, i] = p_i - p_k: every data point's optimality condition.
+    offsets = points[None, :, :] - points[:, None, :]
+    distances = np.linalg.norm(offsets, axis=2)
+    apart = distances > 0.0
+    unit = offsets / np.where(apart, distances, 1.0)[:, :, None]
+    pull = np.linalg.norm((weights[None, :, None] * unit).sum(axis=1), axis=1)
+    held = (weights[None, :] * ~apart).sum(axis=1)
+    optimal = np.flatnonzero(pull <= held)
+    if optimal.size:
+        return points[optimal[0]].copy()
+
     estimate = (points * weights[:, None]).sum(axis=0)
     for _ in range(max_iterations):
-        offsets = points - estimate
-        distances = np.linalg.norm(offsets, axis=1)
-        at_point = distances < 1e-12
-        if at_point.any():
-            # The iterate coincides with a data point; Weiszfeld's update
-            # is undefined there.  That point is the median if its weight
-            # dominates the pull of the others.
-            pull = (
-                points[~at_point] - estimate
-            ) * (weights[~at_point] / distances[~at_point])[:, None]
-            if np.linalg.norm(pull.sum(axis=0)) <= weights[at_point].sum() + 1e-12:
-                return estimate
-            distances = np.where(at_point, 1e-12, distances)
-        inv = weights / distances
-        new_estimate = (points * inv[:, None]).sum(axis=0) / inv.sum()
+        distances = np.linalg.norm(points - estimate, axis=1)
+        away = distances > 0.0
+        inv = weights[away] / distances[away]
+        new_estimate = (points[away] * inv[:, None]).sum(axis=0) / inv.sum()
+        if not away.all():
+            step = np.linalg.norm(((points[away] - estimate) * inv[:, None]).sum(axis=0))
+            share = min(1.0, weights[~away].sum() / step)
+            new_estimate = (1.0 - share) * new_estimate + share * estimate
         if np.linalg.norm(new_estimate - estimate) < tolerance:
             return new_estimate
         estimate = new_estimate

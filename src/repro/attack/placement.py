@@ -26,6 +26,7 @@ import numpy as np
 
 from ..datasets.generation import SampleGenerator
 from ..geometry.human import BODY_ATTACHMENT_POINTS, BodyShape, HumanModel, TrajectoryStyle
+from ..geometry.mesh import place_sequence
 from ..geometry.transforms import subject_placement
 from ..models.cnn_lstm import CNNLSTMClassifier
 from ..radar.heatmap import drai_sequence
@@ -298,9 +299,9 @@ class TriggerPlacementOptimizer:
             bodies, transforms = generator.sample_scene(
                 activity, distance_m, angle_deg, stature, style
             )
-            meshes = [body.transformed(tr) for body, tr in zip(bodies, transforms)]
             base_cubes = simulator.simulate_sequence(
-                meshes, extra_facets=generator._environment_facets or None
+                place_sequence(bodies, transforms),
+                extra_facets=generator._environment_facets or None,
             )
             heatmap_config = generator.config.heatmap
             clean_heatmaps = drai_sequence(base_cubes, heatmap_config)

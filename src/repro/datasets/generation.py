@@ -29,7 +29,7 @@ from ..geometry.human import (
     TrajectoryStyle,
     hand_trajectory,
 )
-from ..geometry.mesh import TriangleMesh, merge_meshes
+from ..geometry.mesh import TriangleMesh, place_sequence
 from ..geometry.transforms import RigidTransform, subject_placement
 from ..radar.heatmap import HeatmapConfig, drai_sequence
 from ..radar.noise import (
@@ -309,12 +309,7 @@ class SampleGenerator:
         bodies, transforms = self.sample_scene(
             activity, distance_m, angle_deg, stature, style
         )
-        meshes = []
-        for body, transform in zip(bodies, transforms):
-            if attachment_mesh is not None:
-                body = merge_meshes([body, attachment_mesh], name="body+trigger")
-            meshes.append(body.transformed(transform))
-        return meshes
+        return place_sequence(bodies, transforms, attachment_mesh)
 
     def generate_sample(
         self,
@@ -366,15 +361,15 @@ class SampleGenerator:
         bodies, transforms = self.sample_scene(
             activity, distance_m, angle_deg, stature, style
         )
-        meshes = [body.transformed(tr) for body, tr in zip(bodies, transforms)]
         clean_cubes = self.simulator.simulate_sequence(
-            meshes, extra_facets=self._environment_facets or None
+            place_sequence(bodies, transforms),
+            extra_facets=self._environment_facets or None,
         )
         # The rigid trigger is static within each frame: no Doppler phase,
         # and the shared topology across frames lets the batched sequence
         # path synthesize all trigger contributions in one pass.
         trigger_cubes = self.simulator.simulate_sequence(
-            [attachment_mesh.transformed(tr) for tr in transforms],
+            place_sequence([attachment_mesh] * len(transforms), transforms),
             estimate_velocities=False,
         )
         triggered_cubes = clean_cubes + trigger_cubes

@@ -27,28 +27,30 @@ import numpy as np
 from ..attack.trigger import ReflectorTrigger
 from ..datasets.generation import GenerationConfig, SampleGenerator
 from ..geometry.human import BODY_ATTACHMENT_POINTS
+from ..geometry.mesh import TriangleMesh, place_sequence
 from ..models.cnn_lstm import CNNLSTMClassifier
 from ..radar.heatmap import drai_sequence, heatmap_deviation
+from ..radar.noise import add_thermal_noise
 from ..xai.shap import KernelShapExplainer, PermutationShapExplainer, ShapConfig
 
 CHEST = np.array(BODY_ATTACHMENT_POINTS["chest"])
 
 
 def _hand_range_bins(
-    generator: SampleGenerator, activity: str, distance_m: float
+    generator: SampleGenerator, meshes: "list[TriangleMesh]", hand: slice
 ) -> np.ndarray:
-    """Expected per-frame range bin of the hand (ground truth from meshes)."""
-    bodies, transforms = generator.sample_scene(activity, distance_m, 0.0)
+    """Per-frame range bin of the hand (ground truth from the world meshes).
+
+    ``hand`` is the hand sphere's vertex block; its vertex closest to the
+    radar is the leading edge of the hand.
+    """
     chirp = generator.config.radar.chirp
     start = generator.config.heatmap.range_bin_start
-    bins = []
-    for body, transform in zip(bodies, transforms):
-        # The hand sphere vertices are the mesh's last block; use the
-        # closest vertex to the radar as the leading edge of the hand.
-        hand_vertices = transform.apply(body.vertices[-30:])
-        ranges = np.linalg.norm(hand_vertices, axis=1)
-        bins.append(chirp.range_bin_for(float(ranges.min())) - start)
-    return np.asarray(bins)
+    return np.asarray([
+        chirp.range_bin_for(float(np.linalg.norm(mesh.vertices[hand], axis=1).min()))
+        - start
+        for mesh in meshes
+    ])
 
 
 @dataclass
@@ -72,9 +74,20 @@ def ablate_clutter_removal(
     distance_m: float = 1.2,
     tolerance_bins: int = 2,
 ) -> ClutterRemovalAblation:
-    """Compare DRAI clutter strategies on hand-tracking fidelity."""
-    cubes = generator.generate_sample(activity, distance_m, 0.0, return_cubes=True)
-    truth = _hand_range_bins(generator, activity, distance_m)
+    """Compare DRAI clutter strategies on hand-tracking fidelity.
+
+    One execution is sampled; its world meshes are both simulated (with
+    the generator's environment and thermal noise) and the ground truth.
+    """
+    bodies, transforms = generator.sample_scene(activity, distance_m, 0.0)
+    meshes = place_sequence(bodies, transforms)
+    cubes = generator.simulator.simulate_sequence(
+        meshes, extra_facets=generator._environment_facets or None
+    )
+    cubes = add_thermal_noise(cubes, generator.config.snr_db, generator.rng)
+    truth = _hand_range_bins(
+        generator, meshes, generator._human_model(1.0).hand_vertices
+    )
     base = generator.config.heatmap
     strategies = [
         ("background+median", replace(base, clutter_removal="background",
@@ -88,7 +101,7 @@ def ablate_clutter_removal(
     for label, config in strategies:
         heatmaps = drai_sequence(cubes, config)
         peaks = heatmaps.sum(axis=2).argmax(axis=1)
-        hits = np.abs(peaks - truth[: len(peaks)]) <= tolerance_bins
+        hits = np.abs(peaks - truth) <= tolerance_bins
         rows.append((label, float(hits.mean())))
     return ClutterRemovalAblation(rows=rows)
 
@@ -127,8 +140,7 @@ def ablate_sway_amplitude(
         heatmap_config = replace(config.heatmap, normalize=False)
         bodies, transforms = generator.sample_scene("push", 1.2, 0.0)
         still = [bodies[0]] * len(bodies)
-        meshes = [body.transformed(tr) for body, tr in zip(still, transforms)]
-        cubes = generator.simulator.simulate_sequence(meshes)
+        cubes = generator.simulator.simulate_sequence(place_sequence(still, transforms))
         heatmaps = drai_sequence(cubes, heatmap_config)
         energies.append(float(np.abs(heatmaps).sum()))
     return SwayAblation(amplitudes_m=tuple(amplitudes_m), residual_energy=energies)

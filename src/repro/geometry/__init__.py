@@ -23,6 +23,7 @@ from .mesh import (
     SKIN_REFLECTIVITY,
     TriangleMesh,
     merge_meshes,
+    place_sequence,
 )
 from .primitives import box, capsule, ellipsoid, planar_patch, uv_sphere
 from .transforms import (
@@ -64,6 +65,7 @@ __all__ = [
     "merge_meshes",
     "mirror_activity",
     "occlusion_mask",
+    "place_sequence",
     "planar_patch",
     "rotation_about_axis",
     "rotation_x",

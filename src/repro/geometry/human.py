@@ -85,6 +85,36 @@ BODY_ATTACHMENT_POINTS: "dict[str, tuple[float, float, float]]" = {
 SUBOPTIMAL_ATTACHMENT = "left_leg"
 
 
+def _limb_frames(
+    start: np.ndarray, ends: np.ndarray, radius: float
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Poses of capsules from ``start`` to each of the ``(T, 3)`` ``ends``.
+
+    Returns the ``(T, 3, 3)`` rotations taking a z-aligned capsule onto
+    each axis, the ``(T, 3)`` axis midpoints and the ``(T,)`` cylinder
+    heights.  Norms, dot products and rotations are taken frame by frame,
+    as for a single limb: batched reductions could round differently.
+    """
+    start = np.asarray(start, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    axes = ends - start
+    lengths = np.array([float(np.linalg.norm(axis)) for axis in axes])
+    z_axis = np.array([0.0, 0.0, 1.0])
+    directions = axes / np.where(lengths > 1e-9, lengths, 1.0)[:, None]
+    rot_axes = np.cross(z_axis, directions)
+    rotations = np.tile(np.eye(3), (len(axes), 1, 1))
+    for rotation, length, direction, rot_axis in zip(rotations, lengths, directions, rot_axes):
+        if length <= 1e-9:
+            continue
+        sin_angle = np.linalg.norm(rot_axis)
+        cos_angle = float(np.dot(z_axis, direction))
+        if sin_angle > 1e-9:
+            rotation[:] = rotation_about_axis(rot_axis, math.atan2(sin_angle, cos_angle))
+        elif cos_angle < 0.0:
+            rotation[:] = rotation_about_axis(np.array([1.0, 0.0, 0.0]), math.pi)
+    return rotations, (start + ends) / 2.0, np.maximum(lengths - 2.0 * radius, 1e-3)
+
+
 def _limb_between(
     start: np.ndarray,
     end: np.ndarray,
@@ -93,35 +123,19 @@ def _limb_between(
     name: str,
 ) -> TriangleMesh:
     """A capsule mesh whose axis runs from ``start`` to ``end``."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    axis = end - start
-    length = float(np.linalg.norm(axis))
-    limb = capsule(radius, max(length - 2.0 * radius, 1e-3), rings=3, segments=segments, name=name)
-    z_axis = np.array([0.0, 0.0, 1.0])
-    if length > 1e-9:
-        direction = axis / length
-        rot_axis = np.cross(z_axis, direction)
-        sin_angle = np.linalg.norm(rot_axis)
-        cos_angle = float(np.dot(z_axis, direction))
-        if sin_angle > 1e-9:
-            rotation = rotation_about_axis(rot_axis, math.atan2(sin_angle, cos_angle))
-        elif cos_angle < 0.0:
-            rotation = rotation_about_axis(np.array([1.0, 0.0, 0.0]), math.pi)
-        else:
-            rotation = np.eye(3)
-    else:
-        rotation = np.eye(3)
-    center = (start + end) / 2.0
-    return limb.transformed(RigidTransform(rotation=rotation, translation=center))
+    rotations, centers, heights = _limb_frames(start, np.reshape(end, (1, 3)), radius)
+    limb = capsule(radius, float(heights[0]), rings=3, segments=segments, name=name)
+    return limb.transformed(RigidTransform(rotation=rotations[0], translation=centers[0]))
 
 
 class HumanModel:
     """A posable human body mesh generator.
 
-    The static parts (torso, head, legs, idle left arm) are built once; the
-    right arm and hand are rebuilt per frame from the hand position, which
-    keeps per-frame mesh generation cheap for the simulator.
+    Everything that does not move is built once: the static parts (torso,
+    head, legs, idle left arm), the right arm's and hand's sphere
+    templates, and the faces and reflectivity of the whole posed body.  A
+    pose computes only vertices: the right arm is a capsule from the
+    shoulder to the hand and the hand a sphere at the hand position.
     """
 
     def __init__(
@@ -140,6 +154,25 @@ class HumanModel:
         self.arm_reflectivity = arm_reflectivity
         self.hand_reflectivity = hand_reflectivity
         self._static = self._build_static()
+        # capsule() is this sphere with its z >= 0 half shifted up and the
+        # rest shifted down by half the cylinder height.
+        segments = max(5, self.shape.mesh_detail - 1)
+        arm = uv_sphere(self.shape.arm_radius, rings=3, segments=segments,
+                        reflectivity=arm_reflectivity, name="right_arm")
+        hand = uv_sphere(self.shape.hand_radius, rings=3, segments=segments,
+                         reflectivity=hand_reflectivity, name="hand")
+        body = merge_meshes([self._static, arm, hand], name="body")
+        self._arm_sphere = arm.vertices
+        self._arm_upper = arm.vertices[:, 2] >= 0.0
+        self._hand_sphere = hand.vertices
+        self._faces = body.faces
+        self._reflectivity = body.reflectivity
+        self._faces.flags.writeable = False
+        self._reflectivity.flags.writeable = False
+        arm_start = self._static.num_vertices
+        self._arm_vertices = slice(arm_start, arm_start + arm.num_vertices)
+        #: The hand sphere's block of every posed body's vertices.
+        self.hand_vertices = slice(self._arm_vertices.stop, body.num_vertices)
 
     def _build_static(self) -> TriangleMesh:
         s = self.shape
@@ -198,21 +231,35 @@ class HumanModel:
 
     def pose(self, hand_position: np.ndarray) -> TriangleMesh:
         """The full body mesh with the right hand at ``hand_position``."""
-        s = self.shape
-        hand_position = np.asarray(hand_position, dtype=float)
-        shoulder = self.right_shoulder
-        arm = _limb_between(shoulder, hand_position, s.arm_radius,
-                            max(5, s.mesh_detail - 1), "right_arm")
-        arm = arm.with_reflectivity(self.arm_reflectivity)
-        hand = uv_sphere(
-            s.hand_radius, rings=3, segments=max(5, s.mesh_detail - 1),
-            reflectivity=self.hand_reflectivity, name="hand",
-        ).translated(hand_position)
-        return merge_meshes([self._static, arm, hand], name="body")
+        return self.pose_sequence(np.reshape(hand_position, (1, 3)))[0]
 
     def pose_sequence(self, hand_positions: np.ndarray) -> "list[TriangleMesh]":
-        """Body meshes for a ``(T, 3)`` hand trajectory."""
-        return [self.pose(p) for p in np.asarray(hand_positions, dtype=float)]
+        """Body meshes for a ``(T, 3)`` hand trajectory.
+
+        The frames share this model's read-only faces and reflectivity;
+        each frame's vertices are one slice of a ``(T, V, 3)`` array.
+        """
+        positions = np.asarray(hand_positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise ValueError(f"hand positions must be (T, 3), got {positions.shape}")
+        if not len(positions):
+            return []
+        rotations, centers, heights = _limb_frames(
+            self.right_shoulder, positions, self.shape.arm_radius
+        )
+        half = heights[:, None] / 2.0
+        arm = np.repeat(self._arm_sphere[None], len(positions), axis=0)
+        arm[:, :, 2] += np.where(self._arm_upper, half, -half)
+        vertices = np.empty((len(positions), self.hand_vertices.stop, 3))
+        vertices[:, : self._arm_vertices.start] = self._static.vertices
+        vertices[:, self._arm_vertices] = (
+            np.matmul(arm, rotations.transpose(0, 2, 1)) + centers[:, None]
+        )
+        vertices[:, self.hand_vertices] = self._hand_sphere + positions[:, None]
+        return [
+            TriangleMesh(frame, self._faces, self._reflectivity, "body")
+            for frame in vertices
+        ]
 
 
 # ----------------------------------------------------------------------

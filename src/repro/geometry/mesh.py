@@ -183,3 +183,41 @@ def merge_meshes(meshes: Iterable[TriangleMesh], name: str = "merged") -> Triang
     return TriangleMesh(
         np.vstack(vertices), np.vstack(faces), np.concatenate(reflectivity), name
     )
+
+
+def place_sequence(
+    meshes: Sequence[TriangleMesh],
+    transforms: Sequence[RigidTransform],
+    attachment: TriangleMesh | None = None,
+) -> "list[TriangleMesh]":
+    """Frame ``t`` of a one-topology sequence mapped through ``transforms[t]``.
+
+    ``attachment`` (e.g. a reflector trigger) is appended to every frame
+    and rides rigidly on it.  One batched ``np.matmul`` places all frames,
+    bit for bit as ``merge_meshes([mesh, attachment]).transformed(transform)``
+    would frame by frame; the frames share read-only faces and reflectivity.
+    """
+    if len(meshes) != len(transforms):
+        raise ValueError(f"{len(meshes)} meshes but {len(transforms)} transforms")
+    if not meshes:
+        return []
+    first = meshes[0]
+    for mesh in meshes[1:]:
+        for ours, theirs in ((mesh.faces, first.faces), (mesh.reflectivity, first.reflectivity)):
+            if ours is not theirs and not np.array_equal(ours, theirs):
+                raise ValueError("place_sequence needs meshes that share faces and reflectivity")
+    parts = [first] if attachment is None else [first, attachment]
+    template = merge_meshes(parts, name="+".join(part.name for part in parts))
+    template.faces.flags.writeable = False
+    template.reflectivity.flags.writeable = False
+    points = np.stack([mesh.vertices for mesh in meshes])
+    if attachment is not None:
+        riding = np.broadcast_to(attachment.vertices, (len(meshes), *attachment.vertices.shape))
+        points = np.concatenate([points, riding], axis=1)
+    rotations = np.stack([transform.rotation for transform in transforms])
+    translations = np.stack([transform.translation for transform in transforms])
+    world = np.matmul(points, rotations.transpose(0, 2, 1)) + translations[:, None]
+    return [
+        TriangleMesh(vertices, template.faces, template.reflectivity, template.name)
+        for vertices in world
+    ]

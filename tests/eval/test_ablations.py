@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.datasets import SampleGenerator
+from repro.eval import ablations
 from repro.eval.ablations import (
     ablate_clutter_removal,
     ablate_shap_estimators,
@@ -13,6 +15,7 @@ from repro.eval.ablations import (
     format_specular_ablation,
     format_sway_ablation,
 )
+from repro.geometry import HumanModel
 
 from ..conftest import make_micro_generation_config
 
@@ -26,6 +29,36 @@ def test_clutter_removal_ablation(micro_generator):
     assert all(0.0 <= s <= 1.0 for s in scores.values())
     text = format_clutter_ablation(result)
     assert "best:" in text
+
+
+def test_clutter_truth_is_the_simulated_hand(micro_generation_config, monkeypatch):
+    """The tracking truth is the hand sphere of the execution simulated."""
+    generator = SampleGenerator(micro_generation_config, seed=0)
+    scenes, simulated, truths = [], [], []
+    sample_scene = generator.sample_scene
+    simulate = generator.simulator.simulate_sequence
+    hand_range_bins = ablations._hand_range_bins
+    monkeypatch.setattr(
+        generator, "sample_scene", lambda *a, **k: scenes.append(a) or sample_scene(*a, **k)
+    )
+    monkeypatch.setattr(
+        generator.simulator, "simulate_sequence",
+        lambda meshes, **k: simulated.append(meshes) or simulate(meshes, **k),
+    )
+    monkeypatch.setattr(
+        ablations, "_hand_range_bins",
+        lambda *a: truths.append(hand_range_bins(*a)) or truths[-1],
+    )
+    ablate_clutter_removal(generator, activity="push", distance_m=1.0)
+    assert len(scenes) == len(simulated) == len(truths) == 1
+    chirp = micro_generation_config.radar.chirp
+    start = micro_generation_config.heatmap.range_bin_start
+    hand = HumanModel().hand_vertices
+    expected = [
+        chirp.range_bin_for(float(np.linalg.norm(mesh.vertices[hand], axis=1).min())) - start
+        for mesh in simulated[0]
+    ]
+    assert truths[0].tolist() == expected
 
 
 def test_sway_ablation_monotone_onset():
