@@ -344,7 +344,7 @@ def _run_stages(preset: BenchPreset) -> "dict[str, dict]":
             "bench: fleet scaling (1 vs %d replicas, %d requests)",
             _FLEET_BENCH_REPLICAS, _FLEET_BENCH_REQUESTS,
         )
-        from .serve.fleet import FleetConfig, ReplicaFleet
+        from .serve.fleet import START_TIMEOUT_S, FleetConfig, ReplicaFleet
 
         def fleet_round(fleet: ReplicaFleet) -> None:
             errors: "list[Exception]" = []
@@ -380,7 +380,7 @@ def _run_stages(preset: BenchPreset) -> "dict[str, dict]":
         ):
             config = FleetConfig(replicas=replicas, engine=fleet_engine)
             with ReplicaFleet(registry, config) as fleet:
-                fleet.wait_until_ready(replicas, config.start_timeout_s)
+                fleet.wait_until_ready(replicas, START_TIMEOUT_S)
                 stages[stage_name] = _time_stage(
                     lambda: fleet_round(fleet), max(1, preset.repeats // 2)
                 )

@@ -376,7 +376,8 @@ def hand_trajectory(
         # Smooth the tremor so consecutive frames stay coherent.
         kernel = np.array([0.25, 0.5, 0.25])
         for axis in range(3):
-            noise[:, axis] = np.convolve(noise[:, axis], kernel, mode="same")
+            # "full" trimmed to n_frames: "same" returns 3 samples for 2.
+            noise[:, axis] = np.convolve(noise[:, axis], kernel, mode="full")[1:-1]
         trajectory = trajectory + noise
     return trajectory
 

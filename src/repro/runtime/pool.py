@@ -20,9 +20,9 @@ rest of the pipeline already guarantees in-process:
 * **Graceful degradation** — ``workers <= 1``, a failed pool start, or
   every worker dying falls back to the serial in-process path with the
   same retry semantics; the sweep always completes.
-* **Shared cores** — each worker runs its share of the usable cores as
-  BLAS threads (:func:`~repro.runtime.threads.worker_blas_share`), so
-  the workers do not oversubscribe the machine.
+* **One supervisor core** — workers are started, given their share of
+  the cores, ended with a dead supervisor and shut down by
+  :mod:`repro.runtime.supervisor`, which the serving fleet shares.
 
 Determinism: the pool itself adds none of its own randomness.  Callers
 derive per-task seeds via :func:`derive_task_seed` so results are
@@ -39,7 +39,6 @@ and counters ``pool.tasks_completed``, ``pool.tasks_failed``,
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -51,8 +50,8 @@ import numpy as np
 from .backoff import RetryPolicy
 from .errors import PoolError
 from .logging import get_logger
+from .supervisor import Child, Supervisor
 from .telemetry import metrics, telemetry
-from .threads import set_blas_threads, worker_blas_share
 
 __all__ = [
     "PoolConfig",
@@ -64,6 +63,9 @@ __all__ = [
 ]
 
 _log = get_logger("runtime.pool")
+
+#: Supervisor wake-up interval for deadline/death checks.
+_POLL_INTERVAL_S = 0.05
 
 
 def derive_task_seed(campaign_seed: int, task_index: int) -> np.random.SeedSequence:
@@ -77,11 +79,6 @@ def derive_task_seed(campaign_seed: int, task_index: int) -> np.random.SeedSeque
     return np.random.SeedSequence((int(campaign_seed), int(task_index)))
 
 
-def _default_start_method() -> str:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
 @dataclass(frozen=True)
 class PoolConfig:
     """Supervision knobs of the worker pool."""
@@ -90,10 +87,6 @@ class PoolConfig:
     #: Per-task wall-clock deadline; ``None`` disables deadline kills.
     task_timeout_s: "float | None" = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: ``fork`` (default where available) or ``spawn``.
-    start_method: str = field(default_factory=_default_start_method)
-    #: Supervisor wake-up interval for deadline/death checks.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -102,10 +95,6 @@ class PoolConfig:
             raise ValueError(
                 f"task_timeout_s must be positive, got {self.task_timeout_s}"
             )
-        if self.start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(f"unsupported start method {self.start_method!r}")
-        if self.poll_interval_s <= 0.0:
-            raise ValueError("poll_interval_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,22 +141,8 @@ class _Attempt:
         return (self.eligible_at, self.index) < (other.eligible_at, other.index)
 
 
-def _worker_main(
-    worker_id: int, conn, inherited: "tuple", blas_share: "int | None"
-) -> None:
-    """Worker loop: recv task, run it, send outcome; ``None`` stops.
-
-    ``inherited`` holds the supervisor-side pipe ends a forked child
-    copies: its own and those of siblings spawned before it.  Closing
-    them leaves the supervisor the only writer, so when it dies this
-    worker's ``recv`` sees EOF instead of blocking forever.
-    ``blas_share`` is this worker's BLAS thread count (see
-    :func:`~repro.runtime.threads.worker_blas_share`).
-    """
-    for end in inherited:
-        end.close()
-    if blas_share is not None:
-        set_blas_threads(blas_share)
+def _worker_main(conn) -> None:
+    """Worker loop: recv task, run it, send outcome; ``None`` stops."""
     while True:
         try:
             item = conn.recv()
@@ -205,53 +180,15 @@ def _worker_main(
 
 
 class _Worker:
-    """Parent-side handle: the process, its pipe, and its current task."""
+    """Parent-side handle: the child process and its current task."""
 
-    __slots__ = ("id", "process", "conn", "current", "deadline", "started_at")
+    __slots__ = ("child", "current", "deadline", "started_at")
 
-    def __init__(
-        self, worker_id: int, context, siblings: "list", blas_share: "int | None"
-    ):
-        parent_conn, child_conn = context.Pipe()
-        self.id = worker_id
-        self.conn = parent_conn
+    def __init__(self, child: Child):
+        self.child = child
         self.current: "_Attempt | None" = None
         self.deadline: "float | None" = None
         self.started_at = 0.0
-        # Only a forked child inherits these; spawn would pickle copies.
-        inherited = ()
-        if context.get_start_method() == "fork":
-            inherited = (parent_conn, *siblings)
-        self.process = context.Process(
-            target=_worker_main,
-            args=(worker_id, child_conn, inherited, blas_share),
-            name=f"repro-pool-{worker_id}",
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def kill(self) -> None:
-        try:
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():  # pragma: no cover - stuck in kernel
-                self.process.kill()
-                self.process.join(timeout=2.0)
-        finally:
-            self.conn.close()
-
-    def stop(self) -> None:
-        """Polite shutdown: sentinel, short join, then terminate."""
-        try:
-            self.conn.send(None)
-        except (OSError, BrokenPipeError, ValueError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            self.conn.close()
 
 
 class WorkerPool:
@@ -264,12 +201,10 @@ class WorkerPool:
 
     def __init__(self, config: "PoolConfig | None" = None):
         self.config = config or PoolConfig()
-        self._context = multiprocessing.get_context(self.config.start_method)
+        self._supervisor: "Supervisor | None" = None
         self._workers: "list[_Worker]" = []
         self._next_worker_id = 0
         self._respawn_budget = 0
-        self._degraded = False
-        self._blas_share: "int | None" = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -283,20 +218,19 @@ class WorkerPool:
 
     def shutdown(self) -> None:
         for worker in self._workers:
-            worker.stop()
+            worker.child.stop()
         self._workers.clear()
 
     def _spawn_worker(self) -> "_Worker | None":
         try:
-            worker = _Worker(
-                self._next_worker_id, self._context,
-                [sibling.conn for sibling in self._workers], self._blas_share,
+            child = self._supervisor.spawn(
+                _worker_main, (), f"repro-pool-{self._next_worker_id}"
             )
         except OSError as exc:
             _log.warning("worker spawn failed: %s", exc)
             return None
         self._next_worker_id += 1
-        return worker
+        return _Worker(child)
 
     # ------------------------------------------------------------------
     # Execution
@@ -353,8 +287,7 @@ class WorkerPool:
         return [results[index] for index in range(len(tasks))]
 
     def _start_workers(self) -> None:
-        # Computed once, so respawned workers get the same share.
-        self._blas_share = worker_blas_share(self.config.workers)
+        self._supervisor = Supervisor(self.config.workers)
         for _ in range(self.config.workers):
             worker = self._spawn_worker()
             if worker is not None:
@@ -382,11 +315,11 @@ class WorkerPool:
     # -- supervision steps ---------------------------------------------
     def _reap_dead_workers(self, tasks, pending, results, on_result, now) -> None:
         for worker in list(self._workers):
-            if worker.process.is_alive():
+            if worker.child.process.is_alive():
                 continue
-            exitcode = worker.process.exitcode
+            exitcode = worker.child.process.exitcode
             self._workers.remove(worker)
-            worker.conn.close()
+            worker.child.kill()
             metrics().counter("pool.worker_deaths").inc()
             if worker.current is not None:
                 attempt = worker.current
@@ -420,7 +353,7 @@ class WorkerPool:
             metrics().counter("pool.timeouts").inc()
             self._finish_attempt(worker, attempt, now)
             self._workers.remove(worker)
-            worker.kill()
+            worker.child.kill()
             self._record_failure(
                 tasks, pending, results, on_result, attempt,
                 "task deadline exceeded", "", now,
@@ -436,10 +369,10 @@ class WorkerPool:
             attempt = heapq.heappop(pending)
             task = tasks[attempt.index]
             try:
-                worker.conn.send(
+                worker.child.send(
                     (attempt.index, attempt.number, task.fn, task.args, task.kwargs)
                 )
-            except (OSError, BrokenPipeError):
+            except OSError:
                 # The worker's pipe is gone: it died between reaping cycles.
                 # Put the attempt back; the death is handled next cycle.
                 heapq.heappush(pending, attempt)
@@ -461,13 +394,13 @@ class WorkerPool:
             worker.deadline = None if timeout is None else now + timeout
 
     def _collect(self, tasks, pending, results, on_result) -> None:
-        conns = [w.conn for w in self._workers]
+        conns = [w.child.conn for w in self._workers]
         try:
-            ready = mp_connection.wait(conns, timeout=self.config.poll_interval_s)
+            ready = mp_connection.wait(conns, timeout=_POLL_INTERVAL_S)
         except OSError:  # a connection died mid-wait; reaped next cycle
             return
         for conn in ready:
-            worker = next((w for w in self._workers if w.conn is conn), None)
+            worker = next((w for w in self._workers if w.child.conn is conn), None)
             if worker is None:
                 continue
             try:

@@ -3,12 +3,11 @@
 OpenBLAS runs one thread per core, and its idle threads spin for about
 0.1 s after each call.  A forked worker inherits that count, so N
 workers on N cores run N² BLAS threads that busy-wait against each
-other.  Process supervisors (:mod:`repro.runtime.pool`,
-:mod:`repro.serve.fleet`) therefore compute :func:`worker_blas_share`
-once and have each child apply it with :func:`set_blas_threads` before
-it does any work.  In a forked child that call starts OpenBLAS's thread
-server, whose idle threads spin once; with one thread nothing wakes
-them again.
+other.  The process supervisor core (:mod:`repro.runtime.supervisor`)
+therefore computes :func:`worker_blas_share` once and has each child
+apply it with :func:`set_blas_threads` before it does any work.  In a
+forked child that call starts OpenBLAS's thread server, whose idle
+threads spin once; with one thread nothing wakes them again.
 
 The thread count is read and set through the OpenBLAS that NumPy itself
 loaded: ``dlsym`` on NumPy's ``_multiarray_umath`` extension also searches

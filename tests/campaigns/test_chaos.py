@@ -24,6 +24,8 @@ from repro.campaigns import Experiment
 from repro.campaigns import runner as runner_module
 from repro.runtime.faults import CrashingTask, FlakyTask
 
+from ..runtime.test_pool import _wait_until_stopped
+
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="chaos tests assume the fork start method",
@@ -132,14 +134,16 @@ class TestParallelChaosCampaign:
 
 
 def _interruptible_campaign_child(config, journal, runs_dir, ready, workers):
-    """Child process: a stub campaign whose second cell hangs."""
+    """Child process: a stub campaign whose second cell hangs.
+
+    ``slow`` writes the pid of the process running it to ``ready``.
+    """
 
     def slow(ctx):
-        Path(ready).touch()
+        Path(f"{ready}.tmp").write_text(str(os.getpid()))
+        os.replace(f"{ready}.tmp", ready)
         time.sleep(60)
         return {"metrics": {}}
-
-    os.setpgrp()  # one process group with its pool workers
 
     runner_module.EXPERIMENTS.update({
         "fast1": Experiment("stub fast", stub_ok),
@@ -153,7 +157,9 @@ def interrupt_second_cell(tmp_path, signum, workers):
     """Run the stub campaign in a child; deliver ``signum`` during ``slow``.
 
     The signal lands once ``slow`` has started and ``fast1`` is in the
-    journal.  Returns the child's exit code.
+    journal.  After a SIGKILL, the process running ``slow`` (a pool
+    worker at ``workers > 1``) must stop within 5 s.  Returns the
+    child's exit code.
     """
     journal = tmp_path / "journal.jsonl"
     ready = tmp_path / "slow-started"
@@ -174,9 +180,8 @@ def interrupt_second_cell(tmp_path, signum, workers):
             time.sleep(0.02)
         os.kill(child.pid, signum)
         if signum == signal.SIGKILL:
-            # Its orphaned pool workers hold the child's exit sentinel
-            # open; kill them too, or join would wait out its timeout.
-            os.killpg(child.pid, signal.SIGKILL)
+            slow_pid = int(ready.read_text())
+            assert _wait_until_stopped(slow_pid), "slow cell outlived its campaign"
         child.join(timeout=30.0)
     finally:
         if child.is_alive():  # pragma: no cover - cleanup on failure

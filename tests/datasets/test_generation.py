@@ -16,6 +16,14 @@ def test_config_validation():
         GenerationConfig(distances_m=())
 
 
+def test_two_frame_dataset_generates():
+    """The smallest valid ``num_frames`` runs end to end."""
+    dataset = SampleGenerator(GenerationConfig(num_frames=2), seed=0).generate_dataset(
+        samples_per_class=1
+    )
+    assert dataset.x.shape == (6, 2, 32, 32)
+
+
 def test_sample_shape(micro_generator, micro_generation_config):
     heatmaps = micro_generator.generate_sample("push", 1.0, 0.0)
     config = micro_generation_config

@@ -28,6 +28,12 @@ def test_trajectory_shape_and_finiteness(activity):
     assert np.isfinite(trajectory).all()
 
 
+@pytest.mark.parametrize("activity", ACTIVITY_NAMES)
+def test_two_frame_trajectory_with_tremor(activity):
+    trajectory = hand_trajectory(activity, 2, rng=np.random.default_rng(0))
+    assert trajectory.shape == (2, 3)
+
+
 def test_push_moves_toward_radar():
     trajectory = hand_trajectory("push", 32)
     # Radar direction is -y; pushing decreases y monotonically overall.

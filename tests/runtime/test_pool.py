@@ -109,8 +109,6 @@ class TestPoolBasics:
             PoolConfig(workers=0)
         with pytest.raises(ValueError):
             PoolConfig(task_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            PoolConfig(start_method="nope")
 
 
 class TestCrashIsolation:
@@ -261,35 +259,53 @@ def _running(pid):
     return stat is not None and stat[0] not in ("Z", "X")
 
 
+def _wait_until_stopped(pid, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not _running(pid)
+
+
+@pytest.fixture()
+def killed_supervisor(tmp_path):
+    """SIGKILL a two-worker pool's supervisor while one worker sleeps in
+    its 60 s task; yields ``(idle_pid, busy_pid)``."""
+    busy_pid = tmp_path / "busy.pid"
+    supervisor = multiprocessing.get_context("fork").Process(
+        target=_supervise_one_long_task, args=(str(busy_pid),)
+    )
+    supervisor.start()
+    workers = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (busy_pid.exists() and busy_pid.read_text()):
+            assert time.monotonic() < deadline, "long task never started"
+            time.sleep(0.02)
+        busy = int(busy_pid.read_text())
+        workers = _children(supervisor.pid)
+        idle = [pid for pid in workers if pid != busy]
+        assert len(workers) == 2 and len(idle) == 1, workers
+
+        os.kill(supervisor.pid, signal.SIGKILL)
+        yield idle[0], busy
+    finally:
+        supervisor.kill()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        supervisor.join(timeout=10.0)
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 class TestSupervisorDeath:
-    def test_idle_worker_exits_when_supervisor_is_killed(self, tmp_path):
-        """A SIGKILLed supervisor closes its pipe ends; a forked worker
-        that kept copies of them (its own and earlier siblings') would
-        block in ``recv`` forever instead of seeing EOF."""
-        busy_pid = tmp_path / "busy.pid"
-        supervisor = multiprocessing.get_context("fork").Process(
-            target=_supervise_one_long_task, args=(str(busy_pid),)
-        )
-        supervisor.start()
-        workers = []
-        try:
-            deadline = time.monotonic() + 30.0
-            while not (busy_pid.exists() and busy_pid.read_text()):
-                assert time.monotonic() < deadline, "long task never started"
-                time.sleep(0.02)
-            workers = _children(supervisor.pid)
-            idle = [pid for pid in workers if pid != int(busy_pid.read_text())]
-            assert len(workers) == 2 and len(idle) == 1, workers
+    def test_idle_worker_exits_when_supervisor_is_killed(self, killed_supervisor):
+        """A forked worker that kept copies of its siblings' pipe ends
+        would block in ``recv`` forever instead of seeing EOF."""
+        idle, _ = killed_supervisor
+        assert _wait_until_stopped(idle), "idle worker outlived its supervisor"
 
-            os.kill(supervisor.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 5.0
-            while _running(idle[0]) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not _running(idle[0]), "idle worker outlived its supervisor"
-        finally:
-            supervisor.kill()
-            for pid in workers:
-                if _running(pid):
-                    os.kill(pid, signal.SIGKILL)
-            supervisor.join(timeout=10.0)
+    def test_busy_worker_exits_when_supervisor_is_killed(self, killed_supervisor):
+        """A worker inside a long task never reads its pipe; it must
+        still end with its supervisor, not when the task does."""
+        _, busy = killed_supervisor
+        assert _wait_until_stopped(busy), "busy worker outlived its supervisor"

@@ -24,7 +24,14 @@ from repro.runtime.errors import (
 from repro.runtime.telemetry import metrics
 from repro.runtime.threads import blas_threads, worker_blas_share
 from repro.serve import EngineConfig, FleetConfig, ModelRegistry, ReplicaFleet
-from repro.serve.fleet import REPLICA_STATES, ReplicaState, _rebuild_error
+from repro.serve.fleet import (
+    BREAKER_COOLDOWN_S,
+    BREAKER_FAILURES,
+    HEARTBEAT_MISS_DEGRADED,
+    REPLICA_STATES,
+    ReplicaState,
+    _rebuild_error,
+)
 
 from ..conftest import MICRO_MODEL_CONFIG
 from ..runtime.test_pool import _running
@@ -76,9 +83,7 @@ def test_fleet_config_validation():
     with pytest.raises(ValueError, match="replicas"):
         FleetConfig(replicas=0)
     with pytest.raises(ValueError, match="heartbeat"):
-        FleetConfig(heartbeat_miss_degraded=9, heartbeat_miss_dead=2)
-    with pytest.raises(ValueError, match="breaker"):
-        FleetConfig(breaker_failures=0)
+        FleetConfig(heartbeat_miss_dead=HEARTBEAT_MISS_DEGRADED - 1)
     assert REPLICA_STATES[0] == ReplicaState.STARTING
     assert REPLICA_STATES[-1] == ReplicaState.DEAD
 
@@ -271,7 +276,7 @@ def test_parent_side_validation_never_reaches_a_replica(fleet, micro_dataset):
 def test_circuit_breaker_trips_and_half_opens(solo_fleet):
     replica = solo_fleet._slots[0].replica
     model_id = "m-breaker-test"
-    for _ in range(solo_fleet.config.breaker_failures):
+    for _ in range(BREAKER_FAILURES):
         solo_fleet._record_outcome(
             replica, model_id, RegistryError(model_id, "boom"), 0.01
         )
@@ -280,7 +285,7 @@ def test_circuit_breaker_trips_and_half_opens(solo_fleet):
     solo_fleet._check_breaker(model_id)
     with pytest.raises(CircuitOpenError) as excinfo:
         solo_fleet._check_breaker(model_id)
-    assert 0.0 < excinfo.value.retry_after_s <= solo_fleet.config.breaker_cooldown_s
+    assert 0.0 < excinfo.value.retry_after_s <= BREAKER_COOLDOWN_S
     assert metrics().counter("fleet.breaker_trips").value >= 1
     # A successful outcome closes the breaker again.
     solo_fleet._record_outcome(replica, model_id, None, 0.01)
