@@ -102,9 +102,6 @@ class PlacementResult:
             scores = self.objective @ weights
         return int(scores.argmax())
 
-    def position_name(self, index: int) -> str:
-        return self.candidate_names[index]
-
 
 def candidate_positions(
     model: HumanModel, config: PlacementConfig

@@ -61,12 +61,7 @@ from .runtime.records import (
 )
 from .runtime.telemetry import metrics, telemetry
 
-from .bench import (
-    BENCH_PRESETS,
-    format_bench_result,
-    run_bench,
-    write_bench_result,
-)
+from .bench import format_bench_result, run_bench, write_bench_result
 
 from .campaigns.cli import add_campaign_arguments, run_campaign_command
 from .campaigns.runner import EXPERIMENTS, run_experiment
@@ -141,11 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(kind=campaign)")
 
     bench = subparsers.add_parser(
-        "bench", help="run the performance benchmark suite"
-    )
-    bench.add_argument(
-        "--preset", default="small", choices=sorted(BENCH_PRESETS),
-        help="benchmark workload size (medium is the canonical preset)",
+        "bench", help="time the batched fast paths against their references"
     )
     bench.add_argument(
         "--output", metavar="PATH", default=None,
@@ -200,7 +191,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     if args.command == "bench":
-        result = run_bench(args.preset)
+        result = run_bench()
         path = write_bench_result(result, args.output)
         print(format_bench_result(result))
         log.info("benchmark result written to %s", path)

@@ -10,7 +10,7 @@ dependencies):
 
 ``repro.dashboard.data``
     Pure read-side indexing: the runs directory, bench trajectories
-    across ``BENCH_*.json`` files (v3 and v4), bench-vs-bench diffs,
+    across ``BENCH_*.json`` files (v2 to v5), bench-vs-bench diffs,
     campaign-journal tailing, and the fleet ``/metrics`` proxy.
 ``repro.dashboard.server``
     The HTTP app: ``GET /`` (a tiny self-refreshing HTML page) plus the

@@ -28,9 +28,6 @@ TRAJECTORY_STAGES = (
     "simulator.sequence",
     "process.drai_sequence",
     "sample.end_to_end",
-    "train.epoch",
-    "serve.engine",
-    "serve.fleet",
 )
 
 
@@ -163,7 +160,6 @@ class DashboardData:
                     "samples_per_s"
                 ),
                 "speedup": result.get("speedup"),
-                "fleet_scaling": (result.get("fleet") or {}).get("scaling"),
                 "stages_min_s": {
                     name: stages[name]["min_s"]
                     for name in TRAJECTORY_STAGES

@@ -18,7 +18,7 @@ read-only and artifact-facing:
     One campaign record plus a derived experiment x seed cell matrix.
 ``GET /api/bench/trajectory``
     One labeled point per ``BENCH_*.json`` — stage minima, throughput,
-    speedups, fleet scaling — for charting perf over time.
+    speedups — for charting perf over time.
 ``GET /api/bench/diff?a=<file>&b=<file>``
     Per-stage min_s delta/ratio between two bench files.
 ``GET /api/journal?offset=N``
@@ -94,13 +94,11 @@ async function refresh() {
   const bench = await fetchJson("/api/bench/trajectory");
   const points = bench.body.points.map(p =>
     `<tr><td>${p.file}</td><td>${cell(p.meta && p.meta.git_sha)}</td>` +
-    `<td>${cell(p.meta && p.meta.preset)}</td>` +
-    `<td>${cell(p.samples_per_s && p.samples_per_s.toFixed(3))}</td>` +
-    `<td>${cell(p.fleet_scaling && p.fleet_scaling.toFixed(2))}</td></tr>`
+    `<td>${cell(p.samples_per_s && p.samples_per_s.toFixed(3))}</td></tr>`
   ).join("");
   document.getElementById("bench").innerHTML =
-    "<table><tr><th>file</th><th>git</th><th>preset</th>" +
-    "<th>samples/s</th><th>fleet scaling</th></tr>" + points + "</table>";
+    "<table><tr><th>file</th><th>git</th>" +
+    "<th>samples/s</th></tr>" + points + "</table>";
   const fleet = await fetchJson("/api/fleet");
   document.getElementById("fleet").innerHTML = fleet.status === 200
     ? "<pre>" + JSON.stringify(fleet.body.metrics, null, 2) + "</pre>"

@@ -14,22 +14,6 @@ import numpy as np
 from .mesh import SKIN_REFLECTIVITY, TriangleMesh
 
 
-def _grid_faces(rows: int, cols: int, wrap_cols: bool = False) -> np.ndarray:
-    """Triangulate a (rows x cols) vertex grid into quads split in two."""
-    faces = []
-    col_count = cols if wrap_cols else cols - 1
-    for r in range(rows - 1):
-        for c in range(col_count):
-            c_next = (c + 1) % cols
-            v00 = r * cols + c
-            v01 = r * cols + c_next
-            v10 = (r + 1) * cols + c
-            v11 = (r + 1) * cols + c_next
-            faces.append([v00, v01, v11])
-            faces.append([v00, v11, v10])
-    return np.array(faces, dtype=np.int64)
-
-
 def uv_sphere(
     radius: float,
     rings: int = 6,

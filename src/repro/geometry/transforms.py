@@ -79,10 +79,6 @@ class RigidTransform:
     def from_translation(cls, translation: np.ndarray) -> "RigidTransform":
         return cls(translation=np.asarray(translation, dtype=float))
 
-    @classmethod
-    def from_rotation_z(cls, angle_rad: float) -> "RigidTransform":
-        return cls(rotation=rotation_z(angle_rad))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform an ``(N, 3)`` array of points (or a single 3-vector)."""
         points = np.asarray(points, dtype=float)

@@ -50,7 +50,7 @@ import numpy as np
 from .backoff import RetryPolicy
 from .errors import PoolError
 from .logging import get_logger
-from .supervisor import Child, Supervisor
+from .supervisor import Child, Supervisor, stop_children
 from .telemetry import metrics, telemetry
 
 __all__ = [
@@ -217,8 +217,7 @@ class WorkerPool:
         return False
 
     def shutdown(self) -> None:
-        for worker in self._workers:
-            worker.child.stop()
+        stop_children([worker.child for worker in self._workers])
         self._workers.clear()
 
     def _spawn_worker(self) -> "_Worker | None":

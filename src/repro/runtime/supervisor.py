@@ -10,8 +10,8 @@ its target.  Each child also runs a watcher thread that exits the process
 once its parent changes, so a child idle in ``recv`` and one busy in a
 task both end with a SIGKILLed supervisor.  ``PR_SET_PDEATHSIG`` would not
 do: it fires when the spawning *thread* exits, and the fleet respawns from
-its monitor thread.  :meth:`Child.stop` and :meth:`Child.kill` are the one
-shutdown escalation.
+its monitor thread.  :func:`stop_children` and :meth:`Child.kill` are the
+one shutdown escalation.
 
 Signal handling stays with each target: pool workers keep the inherited
 ``KeyboardInterrupt`` handler so Ctrl-C unwinds a busy cell.
@@ -27,7 +27,7 @@ from typing import Callable
 
 from .threads import set_blas_threads, worker_blas_share
 
-__all__ = ["Child", "Supervisor"]
+__all__ = ["Child", "Supervisor", "stop_children"]
 
 #: How often a child checks that its supervisor is still its parent.
 _ORPHAN_POLL_S = 0.1
@@ -68,15 +68,6 @@ class Child:
     def send(self, message) -> None:
         with self._send_lock:
             self.conn.send(message)
-
-    def stop(self) -> None:
-        """Polite shutdown: the ``None`` sentinel, a join, then :meth:`kill`."""
-        try:
-            self.send(None)
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout=_JOIN_S)
-        self.kill()
 
     def kill(self) -> None:
         """SIGTERM, join, SIGKILL, join; then close the pipe.
@@ -127,3 +118,23 @@ class Supervisor:
         finally:
             child_conn.close()
         return Child(process, parent_conn)
+
+
+def stop_children(children: "list[Child]") -> None:
+    """Polite shutdown of many children at once.
+
+    Sends every ``None`` sentinel first, joins all children against one
+    shared deadline, then ends each with :meth:`Child.kill`, which
+    SIGTERMs the stragglers.  So N children busy in tasks unwind in about
+    one join timeout, not N of them.
+    """
+    for child in children:
+        try:
+            child.send(None)
+        except (OSError, ValueError):
+            pass
+    deadline = time.monotonic() + _JOIN_S
+    for child in children:
+        child.process.join(timeout=max(0.0, deadline - time.monotonic()))
+    for child in children:
+        child.kill()

@@ -71,7 +71,7 @@ from ..runtime.errors import (
     ServeError,
 )
 from ..runtime.logging import get_logger
-from ..runtime.supervisor import Child, Supervisor
+from ..runtime.supervisor import Child, Supervisor, stop_children
 from ..runtime.telemetry import MetricsRegistry, metrics, span
 from ..runtime.threads import blas_threads
 from .engine import SERVE_LATENCY_BUCKETS, EngineConfig, InferenceEngine, Prediction
@@ -460,14 +460,14 @@ class ReplicaFleet:
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
-        for slot in self._slots:
-            replica = slot.replica
-            if replica is None:
-                continue
+        replicas = [slot.replica for slot in self._slots if slot.replica is not None]
+        for replica in replicas:
             self._set_state(replica, ReplicaState.DEAD)
-            replica.child.stop()
+        stop_children([replica.child for replica in replicas])
+        for replica in replicas:
             if replica.receiver is not None:
                 replica.receiver.join(timeout=2.0)
+        for slot in self._slots:
             slot.replica = None
         self._update_gauges()
 

@@ -120,7 +120,6 @@ def test_bench_trajectory_points(populated):
     assert [p["meta"]["git_sha"] for p in points] == ["old0000", "new0000"]
     assert points[0]["stages_min_s"]["simulator.sequence"] == 1.0
     assert points[1]["samples_per_s"] == pytest.approx(2.0)
-    assert points[1]["fleet_scaling"] == pytest.approx(2.2)
     # Only the charted stages are projected into the point.
     assert "attack.placement_scoring" not in points[0]["stages_min_s"]
 

@@ -309,3 +309,53 @@ class TestSupervisorDeath:
         still end with its supervisor, not when the task does."""
         _, busy = killed_supervisor
         assert _wait_until_stopped(busy), "busy worker outlived its supervisor"
+
+
+def _supervise_three_long_tasks(directory):
+    """Child: a three-worker pool whose three tasks outlive the test,
+    until a SIGINT sent only to this process unwinds it."""
+    tasks = [
+        PoolTask(
+            key=f"long{index}",
+            fn=_report_pid_then_sleep,
+            args=(str(Path(directory) / f"{index}.pid"),),
+        )
+        for index in range(3)
+    ]
+    try:
+        run_tasks(tasks, PoolConfig(workers=3, retry=FAST_RETRY))
+    except KeyboardInterrupt:
+        pass
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_busy_workers_shut_down_together(tmp_path):
+    """Every sentinel goes out before one shared join deadline, so three
+    workers busy in 60 s tasks unwind in about one join timeout (2 s),
+    not one per worker."""
+    supervisor = multiprocessing.get_context("fork").Process(
+        target=_supervise_three_long_tasks, args=(str(tmp_path),)
+    )
+    supervisor.start()
+    pid_files = [tmp_path / f"{index}.pid" for index in range(3)]
+    workers = []
+    try:
+        deadline = time.monotonic() + 30.0
+        while not all(path.exists() and path.read_text() for path in pid_files):
+            assert time.monotonic() < deadline, "long tasks never started"
+            time.sleep(0.02)
+        workers = [int(path.read_text()) for path in pid_files]
+
+        start = time.monotonic()
+        os.kill(supervisor.pid, signal.SIGINT)
+        supervisor.join(timeout=10.0)
+        elapsed = time.monotonic() - start
+        assert not supervisor.is_alive(), "pool never unwound"
+        assert elapsed < 4.0, f"three busy workers took {elapsed:.2f}s to stop"
+        assert all(_wait_until_stopped(pid, 1.0) for pid in workers)
+    finally:
+        supervisor.kill()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        supervisor.join(timeout=10.0)

@@ -1,13 +1,15 @@
 """Benchmark suite: schema, determinism of the workload, CLI integration."""
 
 import json
+import time
+from pathlib import Path
 
 import pytest
 
-from repro import bench as bench_module
 from repro.bench import (
-    BENCH_PRESETS,
     BENCH_SCHEMA_VERSION,
+    BENCH_STAGES,
+    _time_stage,
     default_output_path,
     format_bench_result,
     load_bench_result,
@@ -17,65 +19,69 @@ from repro.bench import (
 )
 
 
-@pytest.fixture(scope="module")
-def placement_calls():
-    """Candidate lists the bench's placement stage handed to the scorer."""
-    return []
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
-def tiny_result(placement_calls):
-    score = bench_module._score_candidates_batched
-
-    def recording_score(*args, **kwargs):
-        placement_calls.append(args[3])
-        return score(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bench_module, "_score_candidates_batched", recording_score)
-        return run_bench("tiny")
+def bench_result():
+    return run_bench()
 
 
-def test_presets_are_ordered_by_size():
-    assert set(BENCH_PRESETS) == {"tiny", "small", "medium"}
-    frames = [BENCH_PRESETS[name].num_frames for name in ("tiny", "small", "medium")]
-    assert frames == sorted(frames)
-    assert BENCH_PRESETS["medium"].num_frames == 32  # the paper's scale
-
-
-def test_unknown_preset_rejected():
-    with pytest.raises(ValueError, match="unknown bench preset"):
-        run_bench("huge")
-
-
-def test_tiny_result_passes_schema(tiny_result):
-    validate_bench_result(tiny_result)
-    assert tiny_result["schema_version"] == BENCH_SCHEMA_VERSION
-    assert tiny_result["preset"]["name"] == "tiny"
+def test_tiny_result_passes_schema(bench_result):
+    validate_bench_result(bench_result)
+    assert bench_result["schema_version"] == BENCH_SCHEMA_VERSION
+    assert bench_result["preset"] == {"num_frames": 32, "repeats": 5}
+    # Only the fast paths and their references are timed.
+    assert list(bench_result["stages"]) == list(BENCH_STAGES)
+    assert "fleet" not in bench_result
     # The span breakdown must include the batched simulator path.
-    assert "simulate.sequence" in tiny_result["spans"]
+    assert "simulate.sequence" in bench_result["spans"]
 
 
-def test_meta_block_labels_the_result(tiny_result):
-    meta = tiny_result["meta"]
-    assert meta["preset"] == "tiny"
+def test_warmup_call_is_untimed():
+    calls = []
+
+    def cold_first_call():
+        if not calls:
+            time.sleep(0.2)
+        calls.append(None)
+
+    timing = _time_stage(cold_first_call, 3)
+    assert len(calls) == 4
+    assert timing["repeats"] == 3
+    assert timing["max_s"] < 0.1
+
+
+def test_committed_bench_files_load_and_the_newest_validates():
+    paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        load_bench_result(path)
+    # A schema bump has to come with a fresh committed result.
+    validate_bench_result(load_bench_result(paths[-1]))
+
+
+def test_meta_block_labels_the_result(bench_result):
+    meta = bench_result["meta"]
+    assert "preset" not in meta
     assert meta["cpu_count"] >= 1
     assert len(meta["date"]) == 10  # YYYY-MM-DD
     assert meta["git_sha"] and meta["hostname"]
-    broken = {k: v for k, v in tiny_result.items() if k != "meta"}
+    broken = {k: v for k, v in bench_result.items() if k != "meta"}
     with pytest.raises(ValueError, match="meta"):
         validate_bench_result(broken)
     with pytest.raises(ValueError, match="git_sha"):
-        validate_bench_result({**tiny_result, "meta": {}})
+        validate_bench_result({**bench_result, "meta": {}})
 
 
-def test_loader_accepts_current_and_legacy_files(tiny_result, tmp_path):
-    current = tmp_path / "v4.json"
-    write_bench_result(tiny_result, current)
-    assert load_bench_result(current)["meta"] == tiny_result["meta"]
+def test_loader_accepts_current_and_legacy_files(bench_result, tmp_path):
+    current = tmp_path / "current.json"
+    write_bench_result(bench_result, current)
+    assert load_bench_result(current)["meta"] == bench_result["meta"]
 
-    legacy = {k: v for k, v in tiny_result.items() if k != "meta"}
+    legacy = {k: v for k, v in bench_result.items() if k != "meta"}
     legacy["schema_version"] = 3
+    legacy["preset"] = {**legacy["preset"], "name": "tiny"}
     v3_path = tmp_path / "v3.json"
     v3_path.write_text(json.dumps(legacy))
     loaded = load_bench_result(v3_path)
@@ -83,8 +89,8 @@ def test_loader_accepts_current_and_legacy_files(tiny_result, tmp_path):
     assert loaded["schema_version"] == 3
     assert loaded["meta"]["preset"] == "tiny"
     assert loaded["meta"]["git_sha"] == "unknown"
-    assert loaded["meta"]["date"] == tiny_result["generated_utc"][:10]
-    assert loaded["meta"]["cpu_count"] == tiny_result["machine"]["cpu_count"]
+    assert loaded["meta"]["date"] == bench_result["generated_utc"][:10]
+    assert loaded["meta"]["cpu_count"] == bench_result["machine"]["cpu_count"]
 
     # v2 (pre-fleet, pre-meta) also loads — the repo's committed
     # BENCH_2026-08-05.json is one — with the same synthesized meta.
@@ -103,71 +109,56 @@ def test_loader_accepts_current_and_legacy_files(tiny_result, tmp_path):
         load_bench_result(v1_path)
 
 
-def test_speedups_are_positive(tiny_result):
+def test_speedups_are_positive(bench_result):
     for key in ("simulate", "drai", "end_to_end"):
-        assert tiny_result["speedup"][key] > 0.0
+        assert bench_result["speedup"][key] > 0.0
 
 
-def test_placement_stage_times_the_batched_scorer(tiny_result, placement_calls):
-    """The stage times the scorer TriggerPlacementOptimizer.optimize runs,
-    every candidate in one batched call per repeat."""
-    assert "attack.placement_scoring" in tiny_result["stages"]
-    assert placement_calls
-    candidates = tiny_result["preset"]["placement_candidates"]
-    assert all(len(positions) == candidates for positions in placement_calls)
-
-
-def test_fleet_scaling_block(tiny_result):
-    fleet = tiny_result["fleet"]
-    assert fleet["replicas"] == 3
-    assert fleet["rps_single"] > 0.0 and fleet["rps_fleet"] > 0.0
-    assert fleet["scaling"] == pytest.approx(
-        fleet["rps_fleet"] / fleet["rps_single"]
-    )
-    for stage in ("serve.fleet_single", "serve.fleet"):
-        assert tiny_result["stages"][stage]["requests"] == 24
-    broken = {key: value for key, value in tiny_result.items() if key != "fleet"}
-    with pytest.raises(ValueError, match="fleet"):
+def test_validate_rejects_missing_stage(bench_result):
+    broken = {**bench_result, "stages": dict(bench_result["stages"])}
+    del broken["stages"]["sample.end_to_end_reference"]
+    with pytest.raises(ValueError, match="sample.end_to_end_reference"):
         validate_bench_result(broken)
 
 
-def test_validate_rejects_missing_stage(tiny_result):
-    broken = {**tiny_result, "stages": dict(tiny_result["stages"])}
-    del broken["stages"]["train.epoch"]
-    with pytest.raises(ValueError, match="train.epoch"):
-        validate_bench_result(broken)
-
-
-def test_validate_rejects_wrong_schema_version(tiny_result):
+def test_validate_rejects_wrong_schema_version(bench_result):
     with pytest.raises(ValueError, match="schema_version"):
-        validate_bench_result({**tiny_result, "schema_version": 999})
+        validate_bench_result({**bench_result, "schema_version": 999})
 
 
-def test_write_round_trips_json(tiny_result, tmp_path):
-    path = write_bench_result(tiny_result, tmp_path / "bench.json")
+def test_write_round_trips_json(bench_result, tmp_path):
+    path = write_bench_result(bench_result, tmp_path / "bench.json")
     loaded = json.loads(path.read_text())
     validate_bench_result(loaded)
-    assert loaded["preset"] == tiny_result["preset"]
+    assert loaded["preset"] == bench_result["preset"]
 
 
-def test_default_output_path_embeds_utc_date(tiny_result):
-    path = default_output_path(tiny_result)
-    date = tiny_result["generated_utc"][:10]
+def test_default_output_path_embeds_utc_date(bench_result):
+    path = default_output_path(bench_result)
+    date = bench_result["generated_utc"][:10]
     assert path.name == f"BENCH_{date}.json"
 
 
-def test_format_is_human_readable(tiny_result):
-    text = format_bench_result(tiny_result)
+def test_format_is_human_readable(bench_result):
+    text = format_bench_result(bench_result)
     assert "speedup vs per-frame reference" in text
     assert "chirps/s" in text
-    assert "train.epoch" in text
+    assert "sample.end_to_end_reference" in text
 
 
 def test_cli_bench_subcommand(tmp_path, capsys):
     import repro.cli as cli
 
     out = tmp_path / "bench.json"
-    assert cli.main(["-q", "bench", "--preset", "tiny", "--output", str(out)]) == 0
+    assert cli.main(["-q", "bench", "--output", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "speedup vs per-frame reference" in printed
     validate_bench_result(json.loads(out.read_text()))
+
+
+def test_cli_bench_has_no_preset_option():
+    import repro.cli as cli
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(["bench", "--preset", "medium"])
+    assert excinfo.value.code == 2
