@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
 from repro.datasets import SIMILAR_SCENARIOS
 from repro.eval import (
     ExperimentContext,

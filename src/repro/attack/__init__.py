@@ -6,7 +6,6 @@ from .backdoor import (
     BackdoorConfig,
     BackdoorExperimentResult,
     evaluate_backdoored_model,
-    run_single_attack,
     train_backdoored_model,
 )
 from .global_position import (
@@ -28,7 +27,6 @@ from .poisoning import (
     compose_poisoned_dataset,
     build_triggered_test_set,
     inject_poison,
-    make_poisoned_sample,
     poisoned_sample_count,
 )
 from .trigger import (
@@ -62,9 +60,7 @@ __all__ = [
     "global_optimal_position",
     "inches",
     "inject_poison",
-    "make_poisoned_sample",
     "poisoned_sample_count",
-    "run_single_attack",
     "snap_to_candidate",
     "train_backdoored_model",
     "weighted_geometric_median",

@@ -25,13 +25,7 @@ from ..xai.frame_importance import FrameImportanceAnalyzer, FrameImportanceResul
 from ..xai.shap import ShapConfig
 from .global_position import global_optimal_position, snap_to_candidate
 from .placement import PlacementConfig, PlacementResult, TriggerPlacementOptimizer
-from .poisoning import (
-    PoisonRecipe,
-    build_poisoned_dataset,
-    build_triggered_test_set,
-    inject_poison,
-    poisoned_sample_count,
-)
+from .poisoning import PoisonRecipe, inject_poison
 from .trigger import TRIGGER_2X2, ReflectorTrigger
 
 
@@ -208,41 +202,3 @@ def evaluate_backdoored_model(
         clean_test.y,
     )
 
-
-def run_single_attack(
-    surrogate: CNNLSTMClassifier,
-    attacker_generator: SampleGenerator,
-    attack_generator: SampleGenerator,
-    clean_train: HeatmapDataset,
-    clean_test: HeatmapDataset,
-    config: BackdoorConfig,
-    model_config: ModelConfig,
-    training_config: TrainingConfig,
-    num_attack_samples: int = 24,
-    seed: int = 0,
-) -> BackdoorExperimentResult:
-    """Convenience wrapper running all three phases once.
-
-    ``attacker_generator`` models the environment where the attacker
-    prepares poison; ``attack_generator`` the (possibly different)
-    deployment environment where triggered test samples are recorded —
-    the paper's cross-environment setup (Section VI-C).
-    """
-    attack = BackdoorAttack(surrogate, attacker_generator, config)
-    plan = attack.plan()
-    recipe = plan.recipe(config)
-    num_poisoned = poisoned_sample_count(clean_train, recipe)
-    poisoned = build_poisoned_dataset(attacker_generator, recipe, num_poisoned)
-    rng = np.random.default_rng(seed)
-    model = train_backdoored_model(
-        clean_train, poisoned, model_config, training_config, rng
-    )
-    triggered_test = build_triggered_test_set(
-        attack_generator, recipe, num_attack_samples
-    )
-    metrics = evaluate_backdoored_model(
-        model, triggered_test, clean_test, config.scenario.target_label
-    )
-    return BackdoorExperimentResult(
-        metrics=metrics, plan=plan, model=model, num_poisoned=num_poisoned
-    )

@@ -20,14 +20,13 @@ effect for chest-front candidates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..datasets.generation import SampleGenerator
 from ..geometry.human import BODY_ATTACHMENT_POINTS, BodyShape, HumanModel, TrajectoryStyle
 from ..geometry.mesh import place_sequence
-from ..geometry.transforms import subject_placement
 from ..models.cnn_lstm import CNNLSTMClassifier
 from ..radar.heatmap import drai_sequence
 from ..runtime.errors import SimulationError
@@ -151,36 +150,6 @@ def _score_from_trigger_cubes(
         (poisoned - clean_heatmaps).reshape(num_frames, -1), axis=1
     )
     return d_feat, d_heat
-
-
-def _score_candidate(
-    simulator,
-    surrogate,
-    trigger,
-    position,
-    transforms,
-    base_cubes,
-    clean_heatmaps,
-    clean_features,
-    heatmap_config,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Eq. 2 terms for one candidate: (feature distance, heatmap deviation).
-
-    Pure function of its arguments (no RNG), so scoring a candidate in a
-    pool worker is bit-identical to scoring it in-process.  Kept as the
-    pinned one-candidate reference for :func:`_score_candidates_batched`.
-    """
-    trigger_local = trigger.mesh_at(position)
-    # Static rigid trigger, shared topology across frames: one batched
-    # sequence synthesis instead of a per-frame loop.
-    trigger_cubes = simulator.simulate_sequence(
-        [trigger_local.transformed(tr) for tr in transforms],
-        estimate_velocities=False,
-    )
-    return _score_from_trigger_cubes(
-        trigger_cubes, surrogate,
-        base_cubes, clean_heatmaps, clean_features, heatmap_config,
-    )
 
 
 def _score_candidates_batched(

@@ -10,7 +10,7 @@ to the victim class's clean training samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +59,6 @@ def poisoned_sample_count(train_set: HeatmapDataset, recipe: PoisonRecipe) -> in
     """Number of poisoned samples implied by the injection rate."""
     victim_count = len(train_set.class_indices(recipe.scenario.victim_label))
     return max(1, int(round(victim_count * recipe.injection_rate)))
-
-
-def make_poisoned_sample(
-    generator: SampleGenerator,
-    recipe: PoisonRecipe,
-    distance_m: float,
-    angle_deg: float,
-    stature: float = 1.0,
-) -> np.ndarray:
-    """One poisoned heatmap sequence: clean frames with top-k replaced."""
-    trigger_mesh = recipe.trigger.mesh_at(recipe.attachment_position)
-    clean, triggered = generator.generate_paired_sample(
-        recipe.scenario.victim, distance_m, angle_deg, trigger_mesh, stature=stature
-    )
-    if recipe.frame_indices.max() >= clean.shape[0]:
-        raise ValueError(
-            f"frame index {recipe.frame_indices.max()} out of range "
-            f"for {clean.shape[0]}-frame samples"
-        )
-    poisoned = clean.copy()
-    poisoned[recipe.frame_indices] = triggered[recipe.frame_indices]
-    return poisoned
 
 
 @dataclass

@@ -15,7 +15,9 @@ diff.
 The workload is entirely deterministic (fixed seeds, fixed scene), so run
 to run variance comes only from the machine; each stage reports the min
 and mean over its repeats, and comparisons should use the min (the least
-noise-contaminated measurement).
+noise-contaminated measurement).  Every stage runs at one OpenBLAS
+thread: on a small host a multi-threaded BLAS contends with whatever
+else runs, which made the per-frame stages bimodal from run to run.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .radar.processing import (
 from .runtime.logging import get_logger
 from .runtime.records import git_revision
 from .runtime.telemetry import telemetry
+from .runtime.threads import blas_threads, set_blas_threads
 
 _log = get_logger("bench")
 
@@ -125,7 +128,13 @@ def bench_meta() -> "dict[str, object]":
 
 
 def run_bench() -> "dict[str, object]":
-    """Time every stage and return the result dict."""
+    """Time every stage at one BLAS thread and return the result dict.
+
+    The caller's BLAS thread count is restored afterwards.
+    """
+    previous = blas_threads()
+    set_blas_threads(1)
+    threads = blas_threads()
     tel = telemetry()
     tel.reset()
     tel.enable()
@@ -133,6 +142,8 @@ def run_bench() -> "dict[str, object]":
         stages = _run_stages()
     finally:
         tel.disable()
+        if previous is not None:
+            set_blas_threads(previous)
 
     def _speedup(reference: str, fast: str) -> float:
         return stages[reference]["min_s"] / stages[fast]["min_s"]
@@ -143,7 +154,7 @@ def run_bench() -> "dict[str, object]":
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "meta": bench_meta(),
+        "meta": {**bench_meta(), "blas_threads": threads},
         "preset": {"num_frames": _NUM_FRAMES, "repeats": _REPEATS},
         "machine": machine_info(),
         "stages": stages,

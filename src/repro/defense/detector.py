@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..datasets.dataset import HeatmapDataset, concat_datasets
+from ..datasets.dataset import HeatmapDataset
 from ..models.cnn_lstm import CNNLSTMClassifier, ModelConfig
 from ..models.trainer import Trainer, TrainingConfig
 

@@ -12,12 +12,11 @@ plain result object that the benchmark harness prints with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..attack.backdoor import AttackPlan, BackdoorAttack, BackdoorConfig
-from ..attack.placement import PlacementConfig
 from ..attack.poisoning import (
     PairPool,
     PoisonRecipe,
@@ -28,13 +27,12 @@ from ..attack.poisoning import (
 )
 from ..attack.trigger import TRIGGER_2X2, TRIGGER_4X4, ReflectorTrigger
 from ..datasets.activities import (
-    DISSIMILAR_SCENARIOS,
     ROBUSTNESS_ANGLES_DEG,
     ROBUSTNESS_DISTANCES_M,
     SIMILAR_SCENARIOS,
     AttackScenario,
 )
-from ..datasets.cache import cached_dataset, default_cache_dir
+from ..datasets.cache import cached_dataset
 from ..datasets.dataset import HeatmapDataset
 from ..datasets.generation import SampleGenerator
 from ..defense.augmentation import (

@@ -11,7 +11,7 @@ experiment takes a preset:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..datasets.generation import GenerationConfig
 from ..models.cnn_lstm import ModelConfig

@@ -6,8 +6,6 @@ evaluation section (who wins, by what factor, where crossovers fall).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..datasets.activities import ACTIVITY_DISPLAY_NAMES
 from .experiments import (
     AblationResult,
@@ -121,13 +119,4 @@ def format_spectral_defense(result: SpectralDefenseResult) -> str:
         f"while removing {result.removed_fraction:.0%} of training data;\n"
         f"ASR {result.asr_before:.1%} -> {result.asr_after:.1%} "
         f"(CDR after retraining: {result.cdr_after:.1%})"
-    )
-
-
-def summarize_matrix(matrix: np.ndarray) -> str:
-    """Compact stats line for an arbitrary matrix (debug aid)."""
-    matrix = np.asarray(matrix)
-    return (
-        f"shape={matrix.shape} min={matrix.min():.4f} "
-        f"max={matrix.max():.4f} mean={matrix.mean():.4f}"
     )

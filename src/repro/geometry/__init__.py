@@ -34,15 +34,7 @@ from .transforms import (
     rotation_z,
     subject_placement,
 )
-from .visibility import (
-    facing_mask,
-    incidence_cosines,
-    occlusion_mask,
-    visibility_geometry,
-    visible_mask,
-    visible_mask_from_geometry,
-    visible_submesh,
-)
+from .visibility import visibility_geometry, visible_mask_from_geometry
 
 __all__ = [
     "ACTIVITY_NAMES",
@@ -59,12 +51,9 @@ __all__ = [
     "box",
     "capsule",
     "ellipsoid",
-    "facing_mask",
     "hand_trajectory",
-    "incidence_cosines",
     "merge_meshes",
     "mirror_activity",
-    "occlusion_mask",
     "place_sequence",
     "planar_patch",
     "rotation_about_axis",
@@ -74,7 +63,5 @@ __all__ = [
     "subject_placement",
     "uv_sphere",
     "visibility_geometry",
-    "visible_mask",
     "visible_mask_from_geometry",
-    "visible_submesh",
 ]

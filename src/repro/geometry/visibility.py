@@ -6,11 +6,11 @@ the sensor.  We implement backface culling plus an optional coarse occlusion
 test that discards facets hidden behind nearer geometry in the same angular
 sector — enough fidelity for heatmap synthesis without full ray tracing.
 
-Two call shapes are supported.  The classic per-mesh functions take a
-:class:`TriangleMesh`; the ``*_from_geometry`` variants take already-derived
-centroid/normal arrays with arbitrary leading batch dimensions, which is how
-the batched simulator runs visibility for a whole ``(T, F)`` pose sequence
-in one pass instead of once per frame.
+The ``*_from_geometry`` functions take already-derived centroid/normal
+arrays with arbitrary leading batch dimensions, which is how the batched
+simulator runs visibility for a whole ``(T, F)`` pose sequence in one
+pass instead of once per frame; :func:`visibility_geometry` runs the same
+pass for one :class:`TriangleMesh`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import TriangleMesh
+
+#: Azimuth/elevation grid of the occlusion test's direction cells.
+_AZIMUTH_BINS = 48
+_ELEVATION_BINS = 24
+#: Depth behind the nearest facet of a cell within which facets survive.
+_DEPTH_SLACK_M = 0.12
 
 
 def cos_incidence_from_geometry(
@@ -35,49 +41,19 @@ def cos_incidence_from_geometry(
     return (normals * (to_radar / distances)).sum(axis=-1)
 
 
-def facing_mask(mesh: TriangleMesh, radar_position: np.ndarray) -> np.ndarray:
-    """Boolean ``(F,)`` mask of faces whose front side faces the radar.
-
-    A face "faces" the radar when the angle between its outward normal and
-    the direction to the radar is below 90 degrees.
-    """
-    return (
-        cos_incidence_from_geometry(
-            mesh.face_centroids(), mesh.face_normals(), radar_position
-        )
-        > 0.0
-    )
-
-
-def incidence_cosines(mesh: TriangleMesh, radar_position: np.ndarray) -> np.ndarray:
-    """``(F,)`` cosine of the incidence angle for each face (clipped >= 0).
-
-    Used as the geometric gain factor ``A_g`` in Eq. 3: a facet seen
-    edge-on reflects nothing back, a facet seen square-on reflects fully.
-    """
-    return np.clip(
-        cos_incidence_from_geometry(
-            mesh.face_centroids(), mesh.face_normals(), radar_position
-        ),
-        0.0,
-        None,
-    )
-
-
 def occlusion_mask_from_geometry(
-    centroids: np.ndarray,
-    radar_position: np.ndarray,
-    azimuth_bins: int = 48,
-    elevation_bins: int = 24,
-    depth_slack_m: float = 0.12,
+    centroids: np.ndarray, radar_position: np.ndarray
 ) -> np.ndarray:
     """Coarse sector occlusion for ``(..., F, 3)`` centroid stacks.
 
     The sphere of directions around the radar is divided into an
     azimuth/elevation grid; within each cell only facets within
-    ``depth_slack_m`` of the nearest facet survive.  Leading batch
-    dimensions (e.g. the frame axis of a pose sequence) are occluded
-    independently: each frame competes only against its own geometry.
+    ``_DEPTH_SLACK_M`` of the nearest facet survive.  This captures the
+    dominant effect (the torso hides the back of the body; the body hides
+    furniture directly behind it) at a tiny fraction of ray-tracing cost.
+    Leading batch dimensions (e.g. the frame axis of a pose sequence) are
+    occluded independently: each frame competes only against its own
+    geometry.
     """
     radar_position = np.asarray(radar_position, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
@@ -88,45 +64,23 @@ def occlusion_mask_from_geometry(
     elevation = np.arcsin(np.clip(rel[..., 2] / safe, -1.0, 1.0))
 
     az_idx = np.clip(
-        ((azimuth + np.pi) / (2.0 * np.pi) * azimuth_bins).astype(int), 0, azimuth_bins - 1
+        ((azimuth + np.pi) / (2.0 * np.pi) * _AZIMUTH_BINS).astype(int), 0, _AZIMUTH_BINS - 1
     )
     el_idx = np.clip(
-        ((elevation + np.pi / 2.0) / np.pi * elevation_bins).astype(int), 0, elevation_bins - 1
+        ((elevation + np.pi / 2.0) / np.pi * _ELEVATION_BINS).astype(int), 0, _ELEVATION_BINS - 1
     )
-    cell = az_idx * elevation_bins + el_idx
+    cell = az_idx * _ELEVATION_BINS + el_idx
 
     # One scatter-min over all batch entries: offset each batch element's
     # cell indices into its own block of the flattened depth table.
-    num_cells = azimuth_bins * elevation_bins
+    num_cells = _AZIMUTH_BINS * _ELEVATION_BINS
     batch_shape = distances.shape[:-1]
     num_batches = int(np.prod(batch_shape)) if batch_shape else 1
     offsets = np.arange(num_batches).reshape(batch_shape + (1,)) * num_cells
     flat_cell = (cell + offsets).reshape(-1)
     min_depth = np.full(num_batches * num_cells, np.inf)
     np.minimum.at(min_depth, flat_cell, distances.reshape(-1))
-    return distances <= min_depth[flat_cell].reshape(distances.shape) + depth_slack_m
-
-
-def occlusion_mask(
-    mesh: TriangleMesh,
-    radar_position: np.ndarray,
-    azimuth_bins: int = 48,
-    elevation_bins: int = 24,
-    depth_slack_m: float = 0.12,
-) -> np.ndarray:
-    """Coarse sector-based occlusion: keep faces near the closest surface.
-
-    This captures the dominant effect (the torso hides the back of the
-    body; the body hides furniture directly behind it) at a tiny fraction
-    of ray-tracing cost.
-    """
-    return occlusion_mask_from_geometry(
-        mesh.face_centroids(),
-        radar_position,
-        azimuth_bins=azimuth_bins,
-        elevation_bins=elevation_bins,
-        depth_slack_m=depth_slack_m,
-    )
+    return distances <= min_depth[flat_cell].reshape(distances.shape) + _DEPTH_SLACK_M
 
 
 def visible_mask_from_geometry(
@@ -134,7 +88,6 @@ def visible_mask_from_geometry(
     normals: np.ndarray,
     radar_position: np.ndarray,
     use_occlusion: bool = True,
-    depth_slack_m: float = 0.12,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """(visibility mask, signed incidence cosines) for geometry stacks.
 
@@ -145,9 +98,7 @@ def visible_mask_from_geometry(
     cos = cos_incidence_from_geometry(centroids, normals, radar_position)
     mask = cos > 0.0
     if use_occlusion and centroids.shape[-2]:
-        mask &= occlusion_mask_from_geometry(
-            centroids, radar_position, depth_slack_m=depth_slack_m
-        )
+        mask &= occlusion_mask_from_geometry(centroids, radar_position)
     return mask, cos
 
 
@@ -155,7 +106,6 @@ def visibility_geometry(
     mesh: TriangleMesh,
     radar_position: np.ndarray,
     use_occlusion: bool = True,
-    depth_slack_m: float = 0.12,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """(mask, incidence cosines, centroids) from one geometry pass.
 
@@ -166,32 +116,6 @@ def visibility_geometry(
     """
     centroids = mesh.face_centroids()
     mask, cos = visible_mask_from_geometry(
-        centroids,
-        mesh.face_normals(),
-        radar_position,
-        use_occlusion=use_occlusion,
-        depth_slack_m=depth_slack_m,
+        centroids, mesh.face_normals(), radar_position, use_occlusion=use_occlusion
     )
     return mask, cos, centroids
-
-
-def visible_mask(
-    mesh: TriangleMesh,
-    radar_position: np.ndarray,
-    use_occlusion: bool = True,
-    depth_slack_m: float = 0.12,
-) -> np.ndarray:
-    """Combined backface + occlusion visibility mask."""
-    mask, _, _ = visibility_geometry(
-        mesh, radar_position, use_occlusion=use_occlusion, depth_slack_m=depth_slack_m
-    )
-    return mask
-
-
-def visible_submesh(
-    mesh: TriangleMesh,
-    radar_position: np.ndarray,
-    use_occlusion: bool = True,
-) -> TriangleMesh:
-    """The single-sided submesh reachable by the radar (paper Fig. 4)."""
-    return mesh.submesh(visible_mask(mesh, radar_position, use_occlusion=use_occlusion))

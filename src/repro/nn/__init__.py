@@ -1,9 +1,9 @@
-"""Deep-learning substrate: NumPy autodiff, layers, LSTM, optimizers.
+"""Deep-learning substrate: NumPy autodiff, layers, LSTM, Adam.
 
 Replaces the paper's PyTorch training stack at laptop scale.  Everything
 the CNN-LSTM prototype needs — reverse-mode autodiff (:mod:`tensor`),
 conv/pool/dropout/cross-entropy (:mod:`functional`), the module system
-(:mod:`layers`), LSTM (:mod:`recurrent`), optimizers (:mod:`optim`) and
+(:mod:`layers`), LSTM (:mod:`recurrent`), Adam (:mod:`optim`) and
 checkpointing (:mod:`serialization`) — implemented from scratch.
 """
 
@@ -15,7 +15,6 @@ from .functional import (
     linear,
     log_softmax,
     max_pool2d,
-    mse_loss,
     softmax,
 )
 from .init import kaiming_uniform, orthogonal, xavier_uniform
@@ -28,12 +27,11 @@ from .layers import (
     Module,
     ReLU,
     Sequential,
-    Tanh,
 )
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import Adam, clip_grad_norm
 from .recurrent import LSTM, LSTMCell
 from .serialization import load_checkpoint, save_checkpoint
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, stack
 
 __all__ = [
     "Adam",
@@ -45,14 +43,10 @@ __all__ = [
     "Linear",
     "MaxPool2d",
     "Module",
-    "Optimizer",
     "ReLU",
-    "SGD",
     "Sequential",
-    "Tanh",
     "Tensor",
     "clip_grad_norm",
-    "concat",
     "conv2d",
     "cross_entropy",
     "dropout",
@@ -62,7 +56,6 @@ __all__ = [
     "load_checkpoint",
     "log_softmax",
     "max_pool2d",
-    "mse_loss",
     "orthogonal",
     "save_checkpoint",
     "softmax",

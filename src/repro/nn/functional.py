@@ -194,10 +194,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def mse_loss(prediction: Tensor, target: np.ndarray | Tensor) -> Tensor:
-    """Mean squared error."""
-    target_tensor = target if isinstance(target, Tensor) else Tensor(np.asarray(target))
-    diff = prediction - target_tensor
-    return (diff * diff).mean()

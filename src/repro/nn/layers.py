@@ -178,11 +178,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Flatten(Module):
     """Flatten all axes after the batch axis."""
 

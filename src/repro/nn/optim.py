@@ -1,4 +1,4 @@
-"""Optimizers (SGD with momentum, Adam) and gradient clipping."""
+"""The Adam optimizer and gradient clipping."""
 
 from __future__ import annotations
 
@@ -7,55 +7,7 @@ import numpy as np
 from .tensor import Tensor
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
-
-    def __init__(self, parameters: "list[Tensor]"):
-        if not parameters:
-            raise ValueError("optimizer needs at least one parameter")
-        self.parameters = list(parameters)
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: "list[Tensor]",
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(parameters)
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                grad = velocity
-            param.data = param.data - self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba, 2015)."""
 
     def __init__(
@@ -66,9 +18,11 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(parameters)
+        if not parameters:
+            raise ValueError("optimizer needs at least one parameter")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        self.parameters = list(parameters)
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -76,6 +30,10 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
 
     def state_dict(self) -> "dict[str, np.ndarray]":
         """Moments + step count, keyed by parameter position, for

@@ -12,7 +12,7 @@ gradients.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -391,21 +391,3 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
 
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis, differentiably."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot concat zero tensors")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)

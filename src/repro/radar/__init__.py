@@ -10,17 +10,13 @@ from .chirp import SPEED_OF_LIGHT, ChirpConfig
 from .heatmap import (
     DEFAULT_HEATMAP_CONFIG,
     HeatmapConfig,
-    drai_frame,
     drai_sequence,
     drai_sequence_reference,
     heatmap_deviation,
-    rdi_frame,
     rdi_sequence,
-    rdi_sequence_reference,
 )
 from .noise import (
     add_thermal_noise,
-    add_thermal_noise_reference,
     complex_awgn,
     noise_sigma,
     random_environment,
@@ -29,7 +25,6 @@ from .processing import (
     angle_axis_degrees,
     angle_fft,
     angle_fft_sequence,
-    doppler_fft,
     doppler_fft_sequence,
     hann_window,
     integrate_chirps,
@@ -50,15 +45,12 @@ __all__ = [
     "RadarConfig",
     "SPEED_OF_LIGHT",
     "add_thermal_noise",
-    "add_thermal_noise_reference",
     "complex_awgn",
     "noise_sigma",
     "angle_axis_degrees",
     "angle_fft",
     "angle_fft_sequence",
-    "doppler_fft",
     "doppler_fft_sequence",
-    "drai_frame",
     "drai_sequence",
     "drai_sequence_reference",
     "hann_window",
@@ -69,7 +61,5 @@ __all__ = [
     "random_environment",
     "range_fft",
     "range_fft_sequence",
-    "rdi_frame",
     "rdi_sequence",
-    "rdi_sequence_reference",
 ]

@@ -21,7 +21,6 @@ from .chirp import ChirpConfig
 from .processing import (
     angle_fft,
     angle_fft_sequence,
-    doppler_fft,
     doppler_fft_sequence,
     integrate_chirps,
     log_compress,
@@ -119,19 +118,6 @@ def _finalize(frames: np.ndarray, config: HeatmapConfig) -> np.ndarray:
     return scaled
 
 
-def rdi_frame(cube: np.ndarray, config: HeatmapConfig | None = None) -> np.ndarray:
-    """Range-Doppler image for one IF cube, summed over antennas.
-
-    Returns ``(num_range_bins, num_chirps)`` *linear* magnitudes; sequence
-    functions handle normalization and compression.
-    """
-    config = config or DEFAULT_HEATMAP_CONFIG
-    profile = range_fft(cube)
-    spectrum = doppler_fft(profile)
-    magnitude = np.abs(spectrum).sum(axis=-1)
-    return magnitude[config.range_bin_start : config.range_bin_stop]
-
-
 def _angle_magnitude(profile: np.ndarray, config: HeatmapConfig) -> np.ndarray:
     """Angle-FFT + chirp integration + axis fixes for one range profile.
 
@@ -145,34 +131,13 @@ def _angle_magnitude(profile: np.ndarray, config: HeatmapConfig) -> np.ndarray:
     return magnitude[:, ::-1]
 
 
-def drai_frame(
-    cube: np.ndarray,
-    config: HeatmapConfig | None = None,
-    remove_clutter: bool = True,
-) -> np.ndarray:
-    """Dynamic Range-Angle image for one IF cube (standalone, MTI-based).
-
-    Pipeline: Range-FFT -> within-frame MTI -> Angle-FFT (zero padded) ->
-    non-coherent integration over chirps -> range crop.  Returns *linear*
-    magnitudes ``(num_range_bins, num_angle_bins)``.  Full activity
-    samples should use :func:`drai_sequence`, whose sequence-level
-    background subtraction preserves tangentially-moving targets.
-    """
-    config = config or DEFAULT_HEATMAP_CONFIG
-    profile = range_fft(cube)
-    if remove_clutter:
-        profile = mti_filter(profile)
-    magnitude = _angle_magnitude(profile, config)
-    return magnitude[config.range_bin_start : config.range_bin_stop]
-
-
 def _remove_clutter_sequence(profiles: np.ndarray, config: HeatmapConfig) -> np.ndarray:
     """Sequence-level clutter removal on ``(T, N_s, N_c, K)`` range profiles."""
     if config.clutter_removal == "background":
         background = profiles.mean(axis=(0, 2), keepdims=True)
         return profiles - background
     if config.clutter_removal == "mti":
-        return profiles - profiles.mean(axis=2, keepdims=True)
+        return mti_filter(profiles)
     return profiles
 
 
@@ -181,7 +146,8 @@ def rdi_sequence(cubes: np.ndarray, config: HeatmapConfig | None = None) -> np.n
 
     Batched: one Range-FFT and one Doppler-FFT over the whole
     ``(T, N_s, N_c, K)`` tensor in complex64, yielding float32 heatmaps.
-    :func:`rdi_sequence_reference` is the pinned per-frame float64 path.
+    ``tests/radar/oracles.py`` keeps the per-frame float64 path it is
+    pinned to.
     """
     config = config or DEFAULT_HEATMAP_CONFIG
     with span("process.rdi_sequence", frames=len(cubes)):
@@ -192,15 +158,6 @@ def rdi_sequence(cubes: np.ndarray, config: HeatmapConfig | None = None) -> np.n
         spectra = doppler_fft_sequence(profiles)
         frames = np.abs(spectra).sum(axis=-1)  # (T, crop, N_c) float32
         return _finalize(frames, config)
-
-
-def rdi_sequence_reference(
-    cubes: np.ndarray, config: HeatmapConfig | None = None
-) -> np.ndarray:
-    """Per-frame RDI reference the batched path is equivalence-tested against."""
-    config = config or DEFAULT_HEATMAP_CONFIG
-    frames = np.stack([rdi_frame(cube, config) for cube in cubes])
-    return _finalize(frames, config)
 
 
 def drai_sequence(

@@ -61,26 +61,6 @@ def add_thermal_noise(
     return cube + complex_awgn(cube.shape, sigma, rng)
 
 
-def add_thermal_noise_reference(
-    cube: np.ndarray, snr_db: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-frame twin of :func:`add_thermal_noise` for a ``(T, ...)`` cube.
-
-    Draws each frame's noise separately inside the frame loop; pinned
-    bit-identical to the batched path under a fixed seed, which is what
-    licenses the batched draw as a pure refactor.
-    """
-    cube = np.asarray(cube)
-    if cube.ndim != 4:
-        raise ValueError(f"expected a (T, N_s, N_c, K) sequence, got {cube.shape}")
-    sigma = noise_sigma(cube, snr_db)
-    if sigma == 0.0:
-        return cube.copy()
-    return np.stack(
-        [frame + complex_awgn(frame.shape, sigma, rng) for frame in cube]
-    )
-
-
 def random_environment(
     rng: np.random.Generator,
     num_objects: int = 3,

@@ -6,9 +6,9 @@ Dynamic Range-Angle Images (DRAI) via Range-FFT, clutter removal and a
 zero-padded Angle-FFT over the virtual array.
 
 Two call shapes are provided.  The per-frame functions (:func:`range_fft`,
-:func:`doppler_fft`, :func:`angle_fft`) operate on one ``(N_s, N_c, K)``
-cube and keep NumPy's default float64 arithmetic — they are the pinned
-reference.  The ``*_sequence`` kernels operate on a whole
+:func:`angle_fft`) operate on one ``(N_s, N_c, K)`` cube and keep NumPy's
+default float64 arithmetic — they are the pinned reference.  The
+``*_sequence`` kernels operate on a whole
 ``(T, N_s, N_c, K)`` IF tensor with a single FFT call per axis and a
 consistent complex64/float32 dtype policy, eliminating per-frame Python
 dispatch and float64 upcasts on the dataset-generation hot path.
@@ -68,7 +68,7 @@ def hann_window(length: int, dtype=np.float64) -> np.ndarray:
     return _hann_window_cached(int(length), np.dtype(dtype).str)
 
 
-def range_fft(cube: np.ndarray, window: bool = True) -> np.ndarray:
+def range_fft(cube: np.ndarray) -> np.ndarray:
     """Range-FFT over fast time (axis 0 of an ``(N_s, N_c, K)`` cube).
 
     Returns a same-shaped complex array whose axis 0 is now range bins.
@@ -78,21 +78,9 @@ def range_fft(cube: np.ndarray, window: bool = True) -> np.ndarray:
     """
     with span("process.range_fft"):
         cube = np.asarray(cube)
-        if window:
-            w = hann_window(cube.shape[0])
-            cube = cube * w.reshape((-1,) + (1,) * (cube.ndim - 1))
+        w = hann_window(cube.shape[0])
+        cube = cube * w.reshape((-1,) + (1,) * (cube.ndim - 1))
         return np.fft.fft(np.conj(cube), axis=0)
-
-
-def doppler_fft(range_profile: np.ndarray, window: bool = True) -> np.ndarray:
-    """Doppler-FFT over slow time (axis 1), fftshifted to center zero Doppler."""
-    with span("process.doppler_fft"):
-        data = np.asarray(range_profile)
-        if window:
-            w = hann_window(data.shape[1])
-            data = data * w.reshape((1, -1) + (1,) * (data.ndim - 2))
-        spectrum = np.fft.fft(data, axis=1)
-        return np.fft.fftshift(spectrum, axes=1)
 
 
 def mti_filter(range_profile: np.ndarray) -> np.ndarray:
@@ -101,13 +89,15 @@ def mti_filter(range_profile: np.ndarray) -> np.ndarray:
     Static clutter produces an identical return on every chirp of a frame;
     subtracting the slow-time mean suppresses it while moving scatterers
     (whose chirp-to-chirp carrier phase advances) survive.  This is the
-    "remove clutters" step that makes DRAI sequences *dynamic*.
+    "remove clutters" step that makes DRAI sequences *dynamic*.  Chirps are
+    axis -2 of both a frame ``(N_s, N_c, K)`` and a sequence
+    ``(T, N_s, N_c, K)``, so one call serves either.
     """
     data = np.asarray(range_profile)
-    return data - data.mean(axis=1, keepdims=True)
+    return data - data.mean(axis=-2, keepdims=True)
 
 
-def angle_fft(data: np.ndarray, num_bins: int, window: bool = False) -> np.ndarray:
+def angle_fft(data: np.ndarray, num_bins: int) -> np.ndarray:
     """Angle-FFT over the virtual-antenna axis (last axis), zero padded.
 
     Returns an fftshifted spectrum so bin ``num_bins // 2`` is boresight
@@ -118,9 +108,6 @@ def angle_fft(data: np.ndarray, num_bins: int, window: bool = False) -> np.ndarr
     if num_bins < num_channels:
         raise ValueError("num_bins must be >= number of virtual channels")
     with span("process.angle_fft"):
-        if window:
-            w = hann_window(num_channels)
-            data = data * w
         spectrum = np.fft.fft(data, n=num_bins, axis=-1)
         return np.fft.fftshift(spectrum, axes=-1)
 
@@ -136,7 +123,7 @@ def _as_sequence_tensor(cubes: np.ndarray) -> np.ndarray:
     return cubes.astype(np.complex64, copy=False)
 
 
-def range_fft_sequence(cubes: np.ndarray, window: bool = True) -> np.ndarray:
+def range_fft_sequence(cubes: np.ndarray) -> np.ndarray:
     """Range-FFT over fast time (axis 1) of a ``(T, N_s, N_c, K)`` tensor.
 
     One FFT call for the whole sequence; output is complex64 regardless of
@@ -146,20 +133,15 @@ def range_fft_sequence(cubes: np.ndarray, window: bool = True) -> np.ndarray:
     cubes = _as_sequence_tensor(cubes)
     with span("process.range_fft", frames=cubes.shape[0]):
         data = np.conj(cubes)
-        if window:
-            w = hann_window(cubes.shape[1], np.float32)
-            data *= w.reshape(1, -1, 1, 1)
+        data *= hann_window(cubes.shape[1], np.float32).reshape(1, -1, 1, 1)
         return _fft_complex64(data, axis=1)
 
 
-def doppler_fft_sequence(profiles: np.ndarray, window: bool = True) -> np.ndarray:
+def doppler_fft_sequence(profiles: np.ndarray) -> np.ndarray:
     """Doppler-FFT over slow time (axis 2) of a ``(T, N_s, N_c, K)`` tensor."""
     profiles = _as_sequence_tensor(profiles)
     with span("process.doppler_fft", frames=profiles.shape[0]):
-        data = profiles
-        if window:
-            w = hann_window(profiles.shape[2], np.float32)
-            data = data * w.reshape(1, 1, -1, 1)
+        data = profiles * hann_window(profiles.shape[2], np.float32).reshape(1, 1, -1, 1)
         spectrum = _fft_complex64(data, axis=2)
         return np.fft.fftshift(spectrum, axes=2)
 

@@ -12,7 +12,7 @@ the standard carrier term ``f0 * tau`` because it carries the per-antenna
 phase differences the Angle-FFT needs and the chirp-to-chirp phase
 progression the Doppler-FFT needs.
 
-Three execution paths are provided:
+Two execution paths are provided:
 
 * :meth:`FmcwRadarSimulator.simulate_sequence` — the *batched* path used
   for dataset generation.  A pose sequence shares mesh topology, so
@@ -25,9 +25,10 @@ Three execution paths are provided:
   separable* path: one :meth:`facet_set` + one einsum-style contraction
   per frame.  It is the pinned reference the batched path is equivalence-
   tested against.
-* :meth:`FmcwRadarSimulator.frame_cube_exact` — the *exact* path that
-  re-evaluates every facet-antenna delay at every chirp.  It is orders of
-  magnitude slower and exists to validate the separable approximation.
+
+``tests/radar/oracles.py`` keeps the *exact* synthesis that re-evaluates
+every facet-antenna delay at every chirp; it is orders of magnitude slower
+and bounds the error of the separable approximation.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..geometry.mesh import TriangleMesh
-from ..geometry.visibility import (
-    incidence_cosines,
-    visibility_geometry,
-    visible_mask,
-    visible_mask_from_geometry,
-)
+from ..geometry.visibility import visibility_geometry, visible_mask_from_geometry
 from ..runtime.telemetry import metrics, span
 from ..runtime.threads import blas_threads, usable_cores
 from .antenna import AntennaArray
@@ -174,16 +170,14 @@ class FmcwRadarSimulator:
     # Facet preparation
     # ------------------------------------------------------------------
     def facet_set(
-        self,
-        mesh: TriangleMesh,
-        velocities: np.ndarray | None = None,
-        apply_visibility: bool = True,
+        self, mesh: TriangleMesh, velocities: np.ndarray | None = None
     ) -> FacetSet:
         """Per-facet amplitudes, delays and delay rates for one frame.
 
-        The visibility mask is applied *before* areas, gains and distances
-        are derived, so occluded faces (typically half the scene or more)
-        cost nothing beyond the culling pass itself.
+        Single-sided visibility filtering (paper Fig. 4) is applied
+        *before* areas, gains and distances are derived, so occluded faces
+        (typically half the scene or more) cost nothing beyond the culling
+        pass itself.
 
         Parameters
         ----------
@@ -193,26 +187,18 @@ class FmcwRadarSimulator:
         velocities:
             Optional ``(F, 3)`` per-face centroid velocities (m/s).  When
             omitted the scene is treated as static for this frame.
-        apply_visibility:
-            Apply single-sided visibility filtering (paper Fig. 4).  Set
-            to False when the caller passes an already-filtered submesh.
         """
         config = self.config
         with span("simulate.facet_set", faces=mesh.num_faces) as _span:
-            if apply_visibility and mesh.num_faces:
-                mask, cos, centroids_all = visibility_geometry(
-                    mesh, self._radar_position, use_occlusion=config.use_occlusion
-                )
-                if not mask.any():
-                    return FacetSet.empty(config.antennas.num_virtual)
-                centroids = centroids_all[mask]
-                gains = np.clip(cos[mask], 0.0, None)
-            else:
-                mask = np.ones(mesh.num_faces, dtype=bool)
-                if not mask.any():
-                    return FacetSet.empty(config.antennas.num_virtual)
-                centroids = mesh.face_centroids()
-                gains = incidence_cosines(mesh, self._radar_position)
+            if not mesh.num_faces:
+                return FacetSet.empty(config.antennas.num_virtual)
+            mask, cos, centroids_all = visibility_geometry(
+                mesh, self._radar_position, use_occlusion=config.use_occlusion
+            )
+            if not mask.any():
+                return FacetSet.empty(config.antennas.num_virtual)
+            centroids = centroids_all[mask]
+            gains = np.clip(cos[mask], 0.0, None)
 
             # Areas only for the surviving faces.
             tri = mesh.vertices[mesh.faces[mask]]
@@ -307,64 +293,6 @@ class FmcwRadarSimulator:
     ) -> np.ndarray:
         """IF cube for one scene frame (fast path)."""
         return self.frame_cube_from_facets(self.facet_set(mesh, velocities))
-
-    # ------------------------------------------------------------------
-    # Exact per-chirp synthesis (validation path)
-    # ------------------------------------------------------------------
-    def frame_cube_exact(
-        self, mesh: TriangleMesh, velocities: np.ndarray | None = None
-    ) -> np.ndarray:
-        """IF cube with per-chirp facet positions and per-channel delays.
-
-        This is the reference implementation of Eq. 3: every chirp
-        re-evaluates every facet-channel delay after advancing facets along
-        their velocity vectors.  Used in tests to bound the error of the
-        separable path.
-        """
-        config = self.config
-        chirp = config.chirp
-        mask = (
-            visible_mask(mesh, self._radar_position, use_occlusion=config.use_occlusion)
-            if mesh.num_faces
-            else np.zeros(0, dtype=bool)
-        )
-        if not mask.any():
-            return np.zeros(config.cube_shape, dtype=np.complex64)
-
-        centroids = mesh.face_centroids()[mask]
-        areas = mesh.face_areas()[mask]
-        reflectivity = mesh.reflectivity[mask]
-        gains = incidence_cosines(mesh, self._radar_position)[mask]
-        vel = (
-            np.zeros_like(centroids)
-            if velocities is None
-            else np.asarray(velocities, dtype=float)[mask]
-        )
-
-        f0 = chirp.start_frequency_hz
-        gamma = chirp.slope_hz_per_s
-        omega = 2.0 * math.pi * f0
-        cube = np.zeros(config.cube_shape, dtype=np.complex128)
-        for m in range(chirp.num_chirps):
-            positions = centroids + vel * self._slow_time[m]
-            d_tx = np.linalg.norm(positions[:, None, :] - self._tx[None, :, :], axis=2)
-            d_rx = np.linalg.norm(positions[:, None, :] - self._rx[None, :, :], axis=2)
-            d_sum = (d_tx[:, :, None] + d_rx[:, None, :]).reshape(len(positions), -1)
-            d_prod = (d_tx[:, :, None] * d_rx[:, None, :]).reshape(len(positions), -1)
-            tau = d_sum / SPEED_OF_LIGHT  # (F, K)
-            amp = (
-                config.amplitude_scale
-                * omega
-                * (gains * reflectivity * areas)[:, None]
-                / ((4.0 * math.pi) ** 2 * d_prod)
-            )
-            phase = np.exp(
-                -2j
-                * math.pi
-                * (gamma * tau[:, None, :] * self._fast_time[None, :, None] + f0 * tau[:, None, :])
-            )  # (F, N_s, K)
-            cube[:, m, :] = (amp[:, None, :] * phase).sum(axis=0)
-        return cube.astype(np.complex64)
 
     # ------------------------------------------------------------------
     # Sequences

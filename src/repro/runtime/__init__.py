@@ -1,11 +1,11 @@
-"""Cross-cutting runtime services: errors, logging, guards, faults, pool.
+"""Cross-cutting runtime services: errors, logging, guards, pool.
 
 This package owns the pipeline's failure-handling contract.  Stage code
 raises :class:`ReproError` subclasses, guards catch NaN/Inf at stage
-boundaries, the supervised pool and the sweep journal keep campaigns
-(:mod:`repro.campaigns`) alive and resumable past individual failures,
-and :mod:`repro.runtime.faults` injects each failure mode
-deterministically so tests can prove recovery works.
+boundaries, and the supervised pool and the sweep journal keep campaigns
+(:mod:`repro.campaigns`) alive and resumable past individual failures.
+The fault-injection harness that proves recovery works lives with the
+tests, in ``tests/faults.py``.
 
 It also owns the observability contract: :mod:`repro.runtime.telemetry`
 provides hierarchical span tracing plus a counters/gauges/histograms
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .guards import all_finite, count_nonfinite, ensure_finite
 from .journal import SweepJournal
-from .logging import configure_logging, get_logger, level_for_verbosity, log_event
+from .logging import configure_logging, get_logger, level_for_verbosity
 from .pool import (
     PoolConfig,
     PoolTask,
@@ -85,7 +85,6 @@ __all__ = [
     "latest_run_record_path",
     "level_for_verbosity",
     "load_run_record",
-    "log_event",
     "metrics",
     "retry_call",
     "run_tasks",

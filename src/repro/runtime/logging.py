@@ -89,9 +89,3 @@ def format_fields(**fields) -> str:
     spaces.
     """
     return " ".join(f"{key}={_format_value(value)}" for key, value in fields.items())
-
-
-def log_event(logger: logging.Logger, level: int, event: str, **fields) -> None:
-    """Log ``event`` with structured ``key=value`` fields appended."""
-    suffix = format_fields(**fields)
-    logger.log(level, f"{event} {suffix}" if suffix else event)

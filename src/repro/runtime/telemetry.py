@@ -515,20 +515,6 @@ class Telemetry:
             sorted(table.items(), key=lambda kv: kv[1]["total_s"], reverse=True)
         )
 
-    def format_aggregate(self) -> str:
-        """Plain-text span table, heaviest first."""
-        table = self.aggregate()
-        if not table:
-            return "no spans recorded"
-        width = max(len(name) for name in table)
-        lines = [f"{'span':<{width}}  {'count':>6}  {'total':>9}  {'mean':>9}"]
-        for name, entry in table.items():
-            lines.append(
-                f"{name:<{width}}  {entry['count']:>6d}  "
-                f"{entry['total_s']:>8.3f}s  {entry['mean_s']:>8.4f}s"
-            )
-        return "\n".join(lines)
-
     def export_chrome_trace(self, path: "str | os.PathLike") -> Path:
         """Write finished spans as ``chrome://tracing`` complete events."""
         spans = sorted(self.finished_spans(), key=lambda s: s.start_ns)

@@ -9,7 +9,7 @@ the paper's Fig. 3 histogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,8 +11,8 @@ from repro.attack import (
     train_backdoored_model,
 )
 from repro.attack.placement import PlacementConfig
-from repro.datasets import AttackScenario, HeatmapDataset
-from repro.models import Trainer, TrainingConfig
+from repro.datasets import AttackScenario
+from repro.models import TrainingConfig
 from repro.xai import ShapConfig
 
 SCENARIO = AttackScenario("push", "pull", similar=True)

@@ -6,7 +6,6 @@ import pytest
 from repro.attack import (
     TRIGGER_2X2,
     PlacementConfig,
-    PlacementResult,
     TriggerPlacementOptimizer,
     candidate_positions,
     global_optimal_position,
@@ -137,10 +136,9 @@ def test_batched_scoring_matches_per_candidate_reference(
 ):
     """Pinned equivalence: stacked-synthesis scoring is bit-identical to
     the per-candidate reference path for every candidate."""
-    from repro.attack.placement import (
-        _score_candidate,
-        _score_candidates_batched,
-    )
+    from repro.attack.placement import _score_candidates_batched
+
+    from .oracles import score_candidate
 
     (simulator, transforms, base_cubes, clean_heatmaps, clean_features,
      heatmap_config, candidates, _names) = scoring_scene
@@ -148,7 +146,7 @@ def test_batched_scoring_matches_per_candidate_reference(
         transforms, base_cubes, clean_heatmaps, clean_features, heatmap_config,
     )
     reference = [
-        _score_candidate(
+        score_candidate(
             simulator, trained_micro_model, TRIGGER_2X2, position, *shared
         )
         for position in candidates

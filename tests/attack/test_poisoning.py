@@ -12,7 +12,6 @@ from repro.attack import (
     build_triggered_test_set,
     compose_poisoned_dataset,
     inject_poison,
-    make_poisoned_sample,
     poisoned_sample_count,
 )
 from repro.datasets import AttackScenario, HeatmapDataset
@@ -49,21 +48,6 @@ def test_poisoned_sample_count():
     dataset = HeatmapDataset(x, y)
     assert poisoned_sample_count(dataset, make_recipe(rate=0.4)) == 4
     assert poisoned_sample_count(dataset, make_recipe(rate=0.01)) == 1  # floor 1
-
-
-def test_make_poisoned_sample_touches_only_chosen_frames(micro_generator):
-    recipe = make_recipe(k=2)
-    sample = make_poisoned_sample(micro_generator, recipe, 1.0, 0.0)
-    assert sample.shape[0] == micro_generator.config.num_frames
-
-
-def test_make_poisoned_sample_frame_bounds(micro_generator):
-    recipe = PoisonRecipe(
-        SCENARIO, TRIGGER_2X2, CHEST,
-        np.array([micro_generator.config.num_frames + 5]), 0.4,
-    )
-    with pytest.raises(ValueError):
-        make_poisoned_sample(micro_generator, recipe, 1.0, 0.0)
 
 
 def test_pair_pool_structure(micro_generator):

@@ -22,8 +22,8 @@ import pytest
 from repro import cli
 from repro.campaigns import Experiment
 from repro.campaigns import runner as runner_module
-from repro.runtime.faults import CrashingTask, FlakyTask
 
+from ..faults import CrashingTask, FlakyTask
 from ..runtime.test_pool import _wait_until_stopped
 
 pytestmark = pytest.mark.skipif(

@@ -19,7 +19,8 @@ from repro.datasets import (
 )
 from repro.datasets.cache import cache_key
 from repro.runtime.errors import CacheCorruptionError
-from repro.runtime.faults import corrupted_cache_file
+
+from ..faults import corrupted_cache_file
 
 
 def make_dataset(n=6, poison_nan=False):

@@ -1,7 +1,6 @@
 """Tests for the design-choice ablations."""
 
 import numpy as np
-import pytest
 
 from repro.datasets import SampleGenerator
 from repro.eval import ablations

@@ -6,7 +6,6 @@ they are the slowest tests in the suite, but they are the only coverage of
 the figure-14/15/Table-I/Section-VII code paths.
 """
 
-import numpy as np
 import pytest
 
 from repro.datasets import SIMILAR_SCENARIOS

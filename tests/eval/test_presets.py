@@ -1,6 +1,5 @@
 """Tests for experiment scale presets."""
 
-import numpy as np
 import pytest
 
 from repro.eval import DEFAULT, FAST, PAPER, ExperimentPreset, preset_by_name

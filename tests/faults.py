@@ -7,7 +7,9 @@ degradation path recovers as designed, without relying on rare natural
 failures.
 
 The managers patch module/class attributes (not sys-wide state), so they
-compose and are safe to nest in tests.
+compose and are safe to nest in tests.  Nothing under ``src/`` imports
+this module; CI's ``chaos`` job imports its pool tasks from the repository
+root as ``tests.faults``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def nan_poisoned_simulator(fraction: float = 0.01, seed: int = 0):
     signature of an unstable numeric kernel — so tests can assert the
     simulator→heatmap boundary guard trips.
     """
-    from ..radar.simulator import FmcwRadarSimulator
+    from repro.radar.simulator import FmcwRadarSimulator
 
     original = FmcwRadarSimulator.simulate_sequence
 
@@ -112,7 +114,7 @@ def diverging_loss(after_batches: int = 0):
     NaN, exercising the ``nan_policy`` divergence handling without
     constructing a genuinely unstable optimization problem.
     """
-    from ..models import trainer as trainer_module
+    from repro.models import trainer as trainer_module
 
     original = trainer_module.cross_entropy
     calls = {"n": 0}
@@ -139,7 +141,7 @@ def failing_trainer(after_batches: int = 0):
     after backward but before the optimizer step — to simulate a hard
     mid-epoch crash (OOM, interrupt) for checkpoint/resume tests.
     """
-    from ..models import trainer as trainer_module
+    from repro.models import trainer as trainer_module
 
     original = trainer_module.clip_grad_norm
     calls = {"n": 0}

@@ -1,24 +1,16 @@
 """Tests for single-sided visibility filtering toward the radar."""
 
 import numpy as np
-import pytest
 
-from repro.geometry import (
-    box,
-    facing_mask,
-    incidence_cosines,
-    occlusion_mask,
-    uv_sphere,
-    visible_mask,
-    visible_submesh,
-)
+from repro.geometry import box, uv_sphere, visibility_geometry
+from repro.geometry.visibility import occlusion_mask_from_geometry
 
 RADAR = np.array([0.0, 0.0, 0.0])
 
 
 def test_sphere_front_half_visible():
     mesh = uv_sphere(0.3, rings=8, segments=12).translated([0.0, 2.0, 0.0])
-    mask = facing_mask(mesh, RADAR)
+    mask, _, _ = visibility_geometry(mesh, RADAR, use_occlusion=False)
     # Roughly half the faces face the radar.
     assert 0.3 < mask.mean() < 0.7
     # All visible centroids are on the radar-facing hemisphere.
@@ -28,19 +20,20 @@ def test_sphere_front_half_visible():
 
 def test_incidence_cosines_bounded():
     mesh = uv_sphere(0.3, rings=6, segments=8).translated([0.0, 1.5, 0.0])
-    gains = incidence_cosines(mesh, RADAR)
-    assert (gains >= 0.0).all()
-    assert (gains <= 1.0 + 1e-12).all()
+    mask, cos, _ = visibility_geometry(mesh, RADAR)
+    assert (np.abs(cos) <= 1.0 + 1e-12).all()
+    # Every visible face has a positive gain.
+    assert (cos[mask] > 0.0).all()
 
 
 def test_square_on_facet_has_unit_gain():
     from repro.geometry import planar_patch
 
     patch = planar_patch(0.1, 0.1).translated([0.0, 1.0, 0.0])
-    gains = incidence_cosines(patch, RADAR)
+    _, cos, _ = visibility_geometry(patch, RADAR)
     # Facet centroids sit slightly off boresight, so cosines are just
     # below 1 — but all within the patch's angular subtense.
-    assert (gains > 0.995).all()
+    assert (cos > 0.995).all()
 
 
 def test_occlusion_hides_object_behind():
@@ -49,7 +42,7 @@ def test_occlusion_hides_object_behind():
     from repro.geometry import merge_meshes
 
     scene = merge_meshes([near, far])
-    mask = occlusion_mask(scene, RADAR)
+    mask = occlusion_mask_from_geometry(scene.face_centroids(), RADAR)
     near_faces = mask[: near.num_faces]
     far_faces = mask[near.num_faces :]
     # The near box survives; the far box is mostly hidden behind it.
@@ -59,20 +52,15 @@ def test_occlusion_hides_object_behind():
 
 def test_visible_mask_combines_both():
     mesh = uv_sphere(0.3, rings=8, segments=12).translated([0.0, 2.0, 0.0])
-    combined = visible_mask(mesh, RADAR, use_occlusion=True)
-    facing_only = visible_mask(mesh, RADAR, use_occlusion=False)
+    combined, _, _ = visibility_geometry(mesh, RADAR, use_occlusion=True)
+    facing_only, _, _ = visibility_geometry(mesh, RADAR, use_occlusion=False)
     assert combined.sum() <= facing_only.sum()
     assert combined.any()
-
-
-def test_visible_submesh_reduces_faces():
-    mesh = uv_sphere(0.3, rings=8, segments=12).translated([0.0, 2.0, 0.0])
-    sub = visible_submesh(mesh, RADAR)
-    assert 0 < sub.num_faces < mesh.num_faces
 
 
 def test_empty_mesh_visibility():
     from repro.geometry import TriangleMesh
 
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    assert visible_mask(empty, RADAR).shape == (0,)
+    mask, _, _ = visibility_geometry(empty, RADAR)
+    assert mask.shape == (0,)

@@ -6,9 +6,9 @@ import pytest
 
 from repro.models import CNNLSTMClassifier, Trainer, TrainingConfig
 from repro.runtime.errors import SimulationError, TrainingDivergenceError
-from repro.runtime.faults import diverging_loss, failing_trainer
 
 from ..conftest import MICRO_MODEL_CONFIG
+from ..faults import diverging_loss, failing_trainer
 
 
 def micro_trainer(**overrides) -> Trainer:

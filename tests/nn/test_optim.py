@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Tensor, clip_grad_norm
+from repro.nn import Adam, Tensor, clip_grad_norm
 
 
 def quadratic_step(optimizer_factory, steps=200):
@@ -19,16 +19,6 @@ def quadratic_step(optimizer_factory, steps=200):
     return x.data, target
 
 
-def test_sgd_converges_on_quadratic():
-    final, target = quadratic_step(lambda p: SGD(p, lr=0.1))
-    assert np.allclose(final, target, atol=1e-4)
-
-
-def test_sgd_momentum_converges():
-    final, target = quadratic_step(lambda p: SGD(p, lr=0.05, momentum=0.9))
-    assert np.allclose(final, target, atol=1e-4)
-
-
 def test_adam_converges_on_quadratic():
     final, target = quadratic_step(lambda p: Adam(p, lr=0.1), steps=400)
     assert np.allclose(final, target, atol=1e-3)
@@ -36,7 +26,7 @@ def test_adam_converges_on_quadratic():
 
 def test_weight_decay_shrinks_solution():
     def factory(decay):
-        return lambda p: SGD(p, lr=0.1, weight_decay=decay)
+        return lambda p: Adam(p, lr=0.1, weight_decay=decay)
 
     free, target = quadratic_step(factory(0.0))
     decayed, _ = quadratic_step(factory(0.5))
@@ -45,14 +35,14 @@ def test_weight_decay_shrinks_solution():
 
 def test_step_skips_parameters_without_grad():
     x = Tensor(np.ones(2), requires_grad=True)
-    optimizer = SGD([x], lr=0.1)
+    optimizer = Adam([x], lr=0.1)
     optimizer.step()  # no grad yet: no movement, no crash
     assert np.allclose(x.data, 1.0)
 
 
 def test_optimizer_validation():
     with pytest.raises(ValueError):
-        SGD([], lr=0.1)
+        Adam([], lr=0.1)
     with pytest.raises(ValueError):
         Adam([Tensor(np.ones(1), requires_grad=True)], lr=0.0)
 
@@ -60,7 +50,7 @@ def test_optimizer_validation():
 def test_zero_grad_via_optimizer():
     x = Tensor(np.ones(2), requires_grad=True)
     (x * x).sum().backward()
-    optimizer = SGD([x], lr=0.1)
+    optimizer = Adam([x], lr=0.1)
     optimizer.zero_grad()
     assert x.grad is None
 

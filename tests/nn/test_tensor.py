@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, concat, stack
+from repro.nn import Tensor, stack
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -115,7 +115,6 @@ def test_relu_gradient_masks_negative():
 
 def test_stack_and_concat_gradient():
     check_gradient(lambda a, b: stack([a, b], axis=0).sum(), (3,), (3,))
-    check_gradient(lambda a, b: (concat([a, b], axis=1) ** 2.0).sum(), (2, 3), (2, 2))
 
 
 def test_diamond_graph_accumulates():

@@ -17,17 +17,17 @@ from repro.radar.heatmap import (
     drai_sequence,
     drai_sequence_reference,
     rdi_sequence,
-    rdi_sequence_reference,
 )
 from repro.radar.processing import (
     angle_fft,
     angle_fft_sequence,
-    doppler_fft,
     doppler_fft_sequence,
     range_fft,
     range_fft_sequence,
 )
 from repro.radar.simulator import FmcwRadarSimulator
+
+from .oracles import doppler_fft, rdi_sequence_reference
 
 
 @pytest.fixture(scope="module")

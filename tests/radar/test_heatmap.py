@@ -10,7 +10,6 @@ from repro.radar import (
     FmcwRadarSimulator,
     HeatmapConfig,
     RadarConfig,
-    drai_frame,
     drai_sequence,
     heatmap_deviation,
     rdi_sequence,
@@ -116,12 +115,6 @@ def test_rdi_sequence_shape(sim, config):
     rdi = rdi_sequence(cubes, config)
     assert rdi.shape == (6, 16, 8)  # (frames, range bins, chirps)
     assert rdi.max() == pytest.approx(1.0)
-
-
-def test_drai_frame_standalone(sim, config):
-    mesh = planar_patch(0.05, 0.05).translated([0.0, 1.0, 0.0])
-    frame = drai_frame(sim.frame_cube(mesh), config)
-    assert frame.shape == (16, 16)
 
 
 def test_heatmap_deviation_metrics():

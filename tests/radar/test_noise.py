@@ -59,7 +59,7 @@ def test_batched_noise_bit_identical_to_per_frame_reference():
     consumes the generator stream in exactly the order one whole-sequence
     draw does; nothing about the noise changes except the call count.
     """
-    from repro.radar import add_thermal_noise_reference
+    from .oracles import add_thermal_noise_reference
 
     rng = np.random.default_rng(7)
     sequence = (
@@ -74,7 +74,7 @@ def test_batched_noise_bit_identical_to_per_frame_reference():
 
 
 def test_reference_requires_sequence_shape(rng):
-    from repro.radar import add_thermal_noise_reference
+    from .oracles import add_thermal_noise_reference
 
     with pytest.raises(ValueError, match="sequence"):
         add_thermal_noise_reference(

@@ -20,6 +20,8 @@ from repro.radar import (
     range_fft,
 )
 
+from .oracles import frame_cube_exact
+
 
 @pytest.fixture(scope="module")
 def simulator() -> FmcwRadarSimulator:
@@ -137,7 +139,7 @@ def test_doppler_phase_from_velocity(simulator):
 def test_exact_matches_separable_static(simulator):
     mesh = uv_sphere(0.1, rings=4, segments=6).translated([0.2, 1.1, 0.0])
     fast = simulator.frame_cube(mesh)
-    exact = simulator.frame_cube_exact(mesh)
+    exact = frame_cube_exact(simulator, mesh)
     error = np.abs(fast - exact).max() / np.abs(exact).max()
     # The separable path evaluates the beat term at the channel-averaged
     # delay; per-channel beat offsets over the ~1.5 cm array span cost a
@@ -149,7 +151,7 @@ def test_exact_matches_separable_moving(simulator):
     mesh = uv_sphere(0.1, rings=4, segments=6).translated([0.0, 1.0, 0.0])
     velocities = np.tile([0.0, -0.5, 0.0], (mesh.num_faces, 1))
     fast = simulator.frame_cube(mesh, velocities=velocities)
-    exact = simulator.frame_cube_exact(mesh, velocities=velocities)
+    exact = frame_cube_exact(simulator, mesh, velocities=velocities)
     error = np.abs(fast - exact).max() / np.abs(exact).max()
     # Adds intra-frame range drift (< 1/30 bin at 0.5 m/s) on top of the
     # per-channel beat-delay approximation checked above.

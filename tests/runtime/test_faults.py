@@ -8,7 +8,8 @@ from repro.models import trainer as trainer_module
 from repro.nn import Tensor
 from repro.radar.simulator import FmcwRadarSimulator
 from repro.runtime.errors import SimulationError
-from repro.runtime.faults import (
+
+from ..faults import (
     corrupted_cache_file,
     diverging_loss,
     failing_trainer,

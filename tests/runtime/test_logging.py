@@ -8,7 +8,6 @@ from repro.runtime.logging import (
     format_fields,
     get_logger,
     level_for_verbosity,
-    log_event,
 )
 
 
@@ -47,15 +46,6 @@ def test_messages_respect_level_and_reach_stream():
     assert "visible warning" in out
     assert "[repro.test.module]" in out
     configure_logging(0)  # restore default for other tests
-
-
-def test_log_event_appends_fields_in_order():
-    assert format_fields(path="/a", reason="x") == "path=/a reason=x"
-    stream = io.StringIO()
-    configure_logging(0, stream=stream)
-    log_event(get_logger("evt"), logging.WARNING, "quarantined", path="/a/b.npz")
-    assert "quarantined path=/a/b.npz" in stream.getvalue()
-    configure_logging(0)
 
 
 def test_format_fields_quotes_awkward_values():

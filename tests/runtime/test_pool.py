@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.runtime.backoff import RetryPolicy
-from repro.runtime.faults import CrashingTask, FlakyTask, HangingTask
 from repro.runtime.pool import (
     PoolConfig,
     PoolTask,
@@ -20,6 +19,8 @@ from repro.runtime.pool import (
 )
 from repro.runtime.telemetry import metrics, telemetry
 from repro.runtime.threads import blas_threads, worker_blas_share
+
+from ..faults import CrashingTask, FlakyTask, HangingTask
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),

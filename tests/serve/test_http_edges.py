@@ -6,8 +6,6 @@ import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
-import pytest
-
 from repro.runtime.backoff import RetryPolicy
 from repro.serve import (
     EngineConfig,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import bench
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BENCH_STAGES,
@@ -17,6 +18,7 @@ from repro.bench import (
     validate_bench_result,
     write_bench_result,
 )
+from repro.runtime.threads import blas_threads
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -36,6 +38,23 @@ def test_tiny_result_passes_schema(bench_result):
     assert "fleet" not in bench_result
     # The span breakdown must include the batched simulator path.
     assert "simulate.sequence" in bench_result["spans"]
+
+
+def test_stages_run_at_one_blas_thread_and_restore_the_count(monkeypatch):
+    seen = []
+
+    def stages():
+        seen.append(blas_threads())
+        timing = {"repeats": 1, "min_s": 1.0, "mean_s": 1.0, "max_s": 1.0}
+        return {name: dict(timing) for name in BENCH_STAGES}
+
+    monkeypatch.setattr(bench, "_run_stages", stages)
+    before = blas_threads()
+    result = run_bench()
+    assert blas_threads() == before
+    expected = None if before is None else 1
+    assert seen == [expected]
+    assert result["meta"]["blas_threads"] == expected
 
 
 def test_warmup_call_is_untimed():

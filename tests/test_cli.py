@@ -6,7 +6,8 @@ import pytest
 
 from repro.campaigns import Experiment
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.runtime.faults import failing_experiment
+
+from .faults import failing_experiment
 
 
 def test_every_paper_experiment_registered():

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.attack import TRIGGER_2X2, BackdoorConfig, run_single_attack
-from repro.attack.placement import PlacementConfig
-from repro.datasets import AttackScenario, SampleGenerator
-from repro.models import CNNLSTMClassifier, Trainer, TrainingConfig
+from repro.datasets import SampleGenerator
 from repro.nn import Linear, Module, Sequential, Tensor
-from repro.radar import HeatmapConfig
-from repro.xai import ShapConfig
 
-from .conftest import MICRO_MODEL_CONFIG, make_micro_generation_config
+from .conftest import make_micro_generation_config
 
 
 # ----------------------------------------------------------------------
@@ -101,45 +96,3 @@ def test_consensus_top_k_with_ties():
     result = FrameImportanceResult(shap_values=shap_values, top_frames=tops, k=2)
     consensus = result.consensus_top_k()
     assert 1 in consensus  # the frame both samples agree on always wins
-
-
-# ----------------------------------------------------------------------
-# end-to-end convenience wrapper
-# ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_run_single_attack_wrapper():
-    config = make_micro_generation_config()
-    attacker_gen = SampleGenerator(config, seed=21, environment_seed=5)
-    attack_gen = SampleGenerator(config, seed=22, environment_seed=6)
-    train_gen = SampleGenerator(config, seed=20, environment_seed=5)
-    dataset = train_gen.generate_dataset(samples_per_class=4)
-    clean_train, clean_test = dataset.split(0.7, np.random.default_rng(0))
-    training = TrainingConfig(epochs=2, validation_fraction=0.0, seed=0)
-    surrogate = CNNLSTMClassifier(MICRO_MODEL_CONFIG, np.random.default_rng(1))
-    attacker_data = attacker_gen.generate_dataset(samples_per_class=3)
-    Trainer(training).fit(surrogate, attacker_data.x, attacker_data.y)
-
-    result = run_single_attack(
-        surrogate,
-        attacker_gen,
-        attack_gen,
-        clean_train,
-        clean_test,
-        BackdoorConfig(
-            scenario=AttackScenario("push", "pull", similar=True),
-            trigger=TRIGGER_2X2,
-            num_poisoned_frames=2,
-            shap=ShapConfig(num_samples=24, seed=0),
-            placement=PlacementConfig(grid_nx=1, grid_nz=1),
-            num_shap_samples=1,
-            planning_position=(1.0, 0.0),
-        ),
-        MICRO_MODEL_CONFIG,
-        training,
-        num_attack_samples=3,
-        seed=5,
-    )
-    assert result.num_poisoned >= 1
-    assert result.plan.attachment_name
-    assert 0.0 <= result.metrics.asr <= 1.0
-    assert result.model.predict(clean_test.x).shape == (len(clean_test),)

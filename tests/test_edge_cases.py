@@ -1,10 +1,9 @@
 """Cross-cutting edge cases not covered by the per-module suites."""
 
 import numpy as np
-import pytest
 
-from repro.datasets import GenerationConfig, HeatmapDataset, SampleGenerator
-from repro.geometry import TriangleMesh, planar_patch, uv_sphere
+from repro.datasets import HeatmapDataset, SampleGenerator
+from repro.geometry import TriangleMesh, planar_patch
 from repro.models import CNNLSTMClassifier, ModelConfig
 from repro.nn import Tensor, conv2d, max_pool2d
 from repro.radar import (
@@ -15,6 +14,7 @@ from repro.radar import (
 )
 
 from .conftest import make_micro_generation_config
+from .radar.oracles import frame_cube_exact
 
 
 # ----------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_exact_simulator_empty_scene():
                     antennas=AntennaArray(num_tx=1, num_rx=2))
     )
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-    cube = sim.frame_cube_exact(empty)
+    cube = frame_cube_exact(sim, empty)
     assert cube.shape == sim.config.cube_shape
     assert np.abs(cube).max() == 0.0
 

@@ -1,19 +1,10 @@
 """Last-mile coverage: small public helpers used by the harness."""
 
 import numpy as np
-import pytest
 
-from repro.eval.reporting import summarize_matrix
-from repro.geometry import occlusion_mask, planar_patch, merge_meshes
 from repro.nn import Tensor, log_softmax
 
 from .nn.test_tensor import numerical_gradient
-
-
-def test_summarize_matrix():
-    text = summarize_matrix(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert "shape=(2, 2)" in text
-    assert "min=0.0000" in text and "max=3.0000" in text
 
 
 def test_log_softmax_gradient():
@@ -27,17 +18,6 @@ def test_log_softmax_gradient():
     (log_softmax(logits, axis=1) * weights).sum().backward()
     numeric = numerical_gradient(loss_value, logits.data)
     assert np.abs(numeric - logits.grad).max() < 1e-7
-
-
-def test_occlusion_depth_slack_widens_survivors():
-    radar = np.zeros(3)
-    near = planar_patch(0.3, 0.3).translated([0.0, 1.0, 0.0])
-    behind = planar_patch(0.3, 0.3).translated([0.0, 1.15, 0.0])
-    scene = merge_meshes([near, behind])
-    tight = occlusion_mask(scene, radar, depth_slack_m=0.05)
-    loose = occlusion_mask(scene, radar, depth_slack_m=0.5)
-    # With generous slack the slightly-behind patch survives too.
-    assert loose.sum() > tight.sum()
 
 
 def test_npz_suffix_handling(tmp_path):
