@@ -4,7 +4,6 @@ from .backdoor import (
     AttackPlan,
     BackdoorAttack,
     BackdoorConfig,
-    BackdoorExperimentResult,
     evaluate_backdoored_model,
     train_backdoored_model,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "AttackPlan",
     "BackdoorAttack",
     "BackdoorConfig",
-    "BackdoorExperimentResult",
     "CLOTHING_ATTENUATION",
     "PairPool",
     "PlacementConfig",

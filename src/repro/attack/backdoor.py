@@ -161,16 +161,6 @@ class BackdoorAttack:
         )
 
 
-@dataclass
-class BackdoorExperimentResult:
-    """One full attack execution: plan, victim model, metrics."""
-
-    metrics: AttackMetrics
-    plan: AttackPlan
-    model: CNNLSTMClassifier
-    num_poisoned: int
-
-
 def train_backdoored_model(
     clean_train: HeatmapDataset,
     poisoned: HeatmapDataset,

@@ -40,7 +40,7 @@ from .radar.processing import (
 )
 from .runtime.logging import get_logger
 from .runtime.records import git_revision
-from .runtime.telemetry import telemetry
+from .runtime.telemetry import telemetry, write_text_atomic
 from .runtime.threads import blas_threads, set_blas_threads
 
 _log = get_logger("bench")
@@ -324,8 +324,9 @@ def write_bench_result(
 ) -> Path:
     validate_bench_result(result)
     path = Path(output) if output else default_output_path(result)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_text_atomic(
+        path, json.dumps(result, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def format_bench_result(result: "dict[str, object]") -> str:

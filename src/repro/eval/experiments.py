@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..attack.backdoor import AttackPlan, BackdoorAttack, BackdoorConfig
+from ..attack.backdoor import (
+    AttackPlan,
+    BackdoorAttack,
+    BackdoorConfig,
+    evaluate_backdoored_model,
+)
 from ..attack.poisoning import (
     PairPool,
     PoisonRecipe,
@@ -47,7 +52,6 @@ from ..models.metrics import (
     AttackMetrics,
     accuracy,
     confusion_matrix,
-    evaluate_attack,
     mean_attack_metrics,
 )
 from ..models.trainer import Trainer
@@ -304,11 +308,29 @@ class ExperimentContext:
                 )
         return self._triggered_tests[key]
 
-    def max_pool_size(self, scenario: AttackScenario) -> int:
+    def poisoned_samples(
+        self,
+        scenario: AttackScenario,
+        trigger: ReflectorTrigger,
+        plan: AttackPlan,
+        injection_rate: float,
+        frame_indices: np.ndarray,
+    ) -> HeatmapDataset:
+        """The poison an attack at ``injection_rate`` injects.
+
+        That share of the victim class's clean training samples (at least
+        one) comes from the scenario's pair pool, which is sized once for
+        the preset's largest rate so every rate draws from the same pool.
+        """
         victim_count = len(self.clean_train.class_indices(scenario.victim_label))
-        return max(
+        pool_size = max(
             2, int(np.ceil(victim_count * self.preset.max_injection_rate
                            * self.preset.pool_margin))
+        )
+        pool = self.pair_pool(scenario, trigger, plan, pool_size)
+        num_poisoned = min(max(1, int(round(victim_count * injection_rate))), len(pool))
+        return compose_poisoned_dataset(
+            pool, frame_indices, scenario.target_label, num_poisoned
         )
 
     # ------------------------------------------------------------------
@@ -325,12 +347,8 @@ class ExperimentContext:
     ) -> AttackMetrics:
         """Train ``repetitions`` victims and average ASR/UASR/CDR."""
         repetitions = repetitions or self.preset.repetitions
-        pool = self.pair_pool(scenario, trigger, plan, self.max_pool_size(scenario))
-        victim_count = len(self.clean_train.class_indices(scenario.victim_label))
-        num_poisoned = max(1, int(round(victim_count * injection_rate)))
-        num_poisoned = min(num_poisoned, len(pool))
-        poisoned = compose_poisoned_dataset(
-            pool, frame_indices, scenario.target_label, num_poisoned
+        poisoned = self.poisoned_samples(
+            scenario, trigger, plan, injection_rate, frame_indices
         )
         triggered = self.triggered_test(scenario, trigger, plan)
         results = []
@@ -343,12 +361,8 @@ class ExperimentContext:
             for rep in range(repetitions):
                 model = self.train_victim(poisoned, seed=self.seed + 1000 + rep)
                 results.append(
-                    evaluate_attack(
-                        model.predict(triggered.x),
-                        triggered.y,
-                        scenario.target_label,
-                        model.predict(self.clean_test.x),
-                        self.clean_test.y,
+                    evaluate_backdoored_model(
+                        model, triggered, self.clean_test, scenario.target_label
                     )
                 )
         return mean_attack_metrics(results)
@@ -550,12 +564,7 @@ def _robustness_sweep(
     scenario = SIMILAR_SCENARIOS[0]
     trigger = TRIGGER_2X2
     plan = ctx.attack_plan(scenario, trigger, 8)
-    pool = ctx.pair_pool(scenario, trigger, plan, ctx.max_pool_size(scenario))
-    victim_count = len(ctx.clean_train.class_indices(scenario.victim_label))
-    num_poisoned = min(max(1, int(round(victim_count * 0.4))), len(pool))
-    poisoned = compose_poisoned_dataset(
-        pool, plan.frame_indices, scenario.target_label, num_poisoned
-    )
+    poisoned = ctx.poisoned_samples(scenario, trigger, plan, 0.4, plan.frame_indices)
     # The paper "select[s] our best-trained model" for the robustness
     # probes: train a few and keep the one whose backdoor fires best on
     # the standard triggered test set.
@@ -729,12 +738,7 @@ def run_defenses(ctx: ExperimentContext) -> DefenseResult:
     baseline = ctx.attack_metrics(
         scenario, trigger, plan, 0.4, plan.frame_indices, repetitions=1
     )
-    pool = ctx.pair_pool(scenario, trigger, plan, ctx.max_pool_size(scenario))
-    victim_count = len(ctx.clean_train.class_indices(scenario.victim_label))
-    num_poisoned = min(max(1, int(round(victim_count * 0.4))), len(pool))
-    poisoned = compose_poisoned_dataset(
-        pool, plan.frame_indices, scenario.target_label, num_poisoned
-    )
+    poisoned = ctx.poisoned_samples(scenario, trigger, plan, 0.4, plan.frame_indices)
     rng = np.random.default_rng(ctx.seed + 31)
     hardened_train = augment_training_set(
         ctx.clean_train, augmentation_train, rng
@@ -744,12 +748,8 @@ def run_defenses(ctx: ExperimentContext) -> DefenseResult:
     Trainer(ctx.preset.training_config(seed=ctx.seed + 31)).fit(
         hardened_model, contaminated.x, contaminated.y
     )
-    hardened_metrics = evaluate_attack(
-        hardened_model.predict(triggered_test.x),
-        triggered_test.y,
-        scenario.target_label,
-        hardened_model.predict(ctx.clean_test.x),
-        ctx.clean_test.y,
+    hardened_metrics = evaluate_backdoored_model(
+        hardened_model, triggered_test, ctx.clean_test, scenario.target_label
     )
     return DefenseResult(
         detector_report=report,
@@ -786,13 +786,8 @@ def run_spectral_defense(
     scenario = SIMILAR_SCENARIOS[0]
     trigger = TRIGGER_2X2
     plan = ctx.attack_plan(scenario, trigger, num_poisoned_frames)
-    pool = ctx.pair_pool(scenario, trigger, plan, ctx.max_pool_size(scenario))
-    victim_count = len(ctx.clean_train.class_indices(scenario.victim_label))
-    num_poisoned = min(
-        max(1, int(round(victim_count * injection_rate))), len(pool)
-    )
-    poisoned = compose_poisoned_dataset(
-        pool, plan.frame_indices, scenario.target_label, num_poisoned
+    poisoned = ctx.poisoned_samples(
+        scenario, trigger, plan, injection_rate, plan.frame_indices
     )
     rng = np.random.default_rng(ctx.seed + 606)
     contaminated = inject_poison(ctx.clean_train, poisoned, rng)
@@ -802,14 +797,13 @@ def run_spectral_defense(
         victim, contaminated.x, contaminated.y
     )
     triggered = ctx.triggered_test(scenario, trigger, plan)
-    before = evaluate_attack(
-        victim.predict(triggered.x), triggered.y, scenario.target_label,
-        victim.predict(ctx.clean_test.x), ctx.clean_test.y,
+    before = evaluate_backdoored_model(
+        victim, triggered, ctx.clean_test, scenario.target_label
     )
 
     # Size the removal to ~1.5x the worst-case per-class poison fraction.
     target_class_size = len(contaminated.class_indices(scenario.target_label))
-    poison_fraction = num_poisoned / max(target_class_size, 1)
+    poison_fraction = len(poisoned) / max(target_class_size, 1)
     removal = float(np.clip(1.5 * poison_fraction, 0.1, 0.6))
     defense = SpectralDefense(victim, SpectralConfig(removal_fraction=removal))
     filtered, report = defense.filter(contaminated)
@@ -820,9 +814,8 @@ def run_spectral_defense(
     Trainer(ctx.preset.training_config(seed=ctx.seed + 607)).fit(
         retrained, filtered.x, filtered.y
     )
-    after = evaluate_attack(
-        retrained.predict(triggered.x), triggered.y, scenario.target_label,
-        retrained.predict(ctx.clean_test.x), ctx.clean_test.y,
+    after = evaluate_backdoored_model(
+        retrained, triggered, ctx.clean_test, scenario.target_label
     )
     return SpectralDefenseResult(
         poison_recall=recall,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from ..nn.serialization import (
 from ..runtime.errors import SimulationError, TrainingDivergenceError
 from ..runtime.guards import ensure_finite
 from ..runtime.logging import get_logger
-from ..runtime.telemetry import metrics, telemetry
+from ..runtime.telemetry import metrics, telemetry, write_text_atomic
 from .cnn_lstm import CNNLSTMClassifier
 from .metrics import accuracy
 
@@ -146,13 +145,6 @@ class TrainingHistory:
         return len(self.train_loss)
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as handle:
-        json.dump(payload, handle)
-    os.replace(tmp_name, path)
-
-
 class Trainer:
     """Fits a :class:`CNNLSTMClassifier` on heatmap sequences."""
 
@@ -191,9 +183,9 @@ class Trainer:
         directory.mkdir(parents=True, exist_ok=True)
         save_checkpoint(model, directory / _LAST_CHECKPOINT)
         save_arrays(optimizer.state_dict(), directory / _OPTIMIZER_CHECKPOINT)
-        _write_json_atomic(
+        write_text_atomic(
             directory / _STATE_FILE,
-            {
+            json.dumps({
                 "epoch": epoch,
                 "best_val": best_val if math.isfinite(best_val) else None,
                 "stale_epochs": stale_epochs,
@@ -203,7 +195,7 @@ class Trainer:
                 "val_loss": history.val_loss,
                 "val_accuracy": history.val_accuracy,
                 "diverged_epochs": history.diverged_epochs,
-            },
+            }),
         )
 
     def _try_resume(

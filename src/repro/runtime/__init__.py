@@ -51,7 +51,6 @@ from .telemetry import (
     metrics,
     span,
     telemetry,
-    traced,
 )
 
 __all__ = [
@@ -90,6 +89,5 @@ __all__ = [
     "run_tasks",
     "span",
     "telemetry",
-    "traced",
     "write_run_record",
 ]

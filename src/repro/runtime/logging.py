@@ -2,11 +2,10 @@
 
 A thin layer over :mod:`logging`: every pipeline module asks for a child of
 the ``repro`` root logger via :func:`get_logger`, and the CLI maps
-``--verbose``/``--quiet`` onto :func:`configure_logging`.  Messages carry
-optional ``key=value`` fields appended in a stable order so log lines stay
-grep-able::
+``--verbose``/``--quiet`` onto :func:`configure_logging`.  Each line names
+its logger and level::
 
-    [repro.datasets.cache] WARNING quarantined corrupt archive path=... reason=truncated
+    [repro.datasets.cache] WARNING quarantined corrupt cache archive ...
 """
 
 from __future__ import annotations
@@ -70,22 +69,3 @@ def level_for_verbosity(verbosity: int) -> int:
     if verbosity == 1:
         return logging.INFO
     return logging.DEBUG
-
-
-def _format_value(value) -> str:
-    """Quote values that would break ``key=value key2=...`` parsing."""
-    text = str(value)
-    if not text or any(c.isspace() for c in text) or '"' in text:
-        escaped = text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return text
-
-
-def format_fields(**fields) -> str:
-    """Render ``key=value`` pairs in insertion order for log messages.
-
-    Values containing whitespace (or quotes, or nothing at all) are
-    double-quoted with backslash escaping so log lines stay splittable on
-    spaces.
-    """
-    return " ".join(f"{key}={_format_value(value)}" for key, value in fields.items())

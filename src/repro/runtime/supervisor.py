@@ -6,7 +6,8 @@ a :class:`Supervisor`.  It forks (spawn only where the platform has no
 fork) and gives each child one duplex pipe.  It computes
 :func:`~repro.runtime.threads.worker_blas_share` once, so respawned
 children get the same share, and each child applies it before it runs
-its target.  Each child also runs a watcher thread that exits the process
+its target, after moving the heap it inherited out of the garbage
+collector's reach.  Each child also runs a watcher thread that exits the process
 once its parent changes, so a child idle in ``recv`` and one busy in a
 task both end with a SIGKILLed supervisor.  ``PR_SET_PDEATHSIG`` would not
 do: it fires when the spawning *thread* exits, and the fleet respawns from
@@ -19,6 +20,7 @@ Signal handling stays with each target: pool workers keep the inherited
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import threading
@@ -44,6 +46,11 @@ def _watch_parent(parent_pid: int) -> None:
 def _child_main(
     target: Callable, conn, args: tuple, parent_pid: int, blas_share: "int | None"
 ) -> None:
+    # Park the heap inherited at fork in the collector's permanent
+    # generation.  Otherwise the child's first full collections walk every
+    # inherited object and copy each page they touch: about 145 ms under a
+    # test process's heap, long enough for a replica to miss heartbeats.
+    gc.freeze()
     threading.Thread(
         target=_watch_parent, args=(parent_pid,), name="orphan-watch", daemon=True
     ).start()

@@ -26,7 +26,6 @@ count.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import tempfile
@@ -46,7 +45,6 @@ __all__ = [
     "metrics",
     "span",
     "telemetry",
-    "traced",
 ]
 
 
@@ -559,17 +557,3 @@ def span(name: str, force: bool = False, **attributes):
 def metrics() -> MetricsRegistry:
     """The global metrics registry."""
     return _TELEMETRY.metrics
-
-
-def traced(name: str, **attributes):
-    """Decorator form of :func:`span`; enablement is checked per call."""
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with _TELEMETRY.span(name, **attributes):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

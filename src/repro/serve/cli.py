@@ -80,8 +80,6 @@ def add_serve_arguments(subparsers) -> None:
                        help="0 binds an ephemeral port (printed at startup)")
     serve.add_argument("--max-batch", type=int, default=8,
                        help="most requests coalesced into one forward pass")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                       help="how long a batch is held open for stragglers")
     serve.add_argument("--queue-capacity", type=int, default=64,
                        help="admission queue bound; beyond it requests "
                        "are shed with 429")
@@ -218,7 +216,6 @@ def run_publish(args: argparse.Namespace, log) -> int:
 def run_serve(args: argparse.Namespace, log) -> int:
     engine_config = EngineConfig(
         max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
         queue_capacity=args.queue_capacity,
         model_cache_size=args.model_cache,
         screen_by_default=not args.no_screen,

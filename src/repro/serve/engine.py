@@ -1,12 +1,14 @@
 """Dynamic micro-batching inference engine.
 
 Concurrent callers block in :meth:`InferenceEngine.submit`; a single
-worker thread drains the shared admission queue, coalescing up to
-``max_batch`` same-model requests (waiting at most ``max_delay_ms`` for
-stragglers) into one stacked forward pass, then fans the per-sequence
-results back out.  Batching is what makes a NumPy CNN-LSTM servable: the
-conv/GEMM kernels amortize across the batch axis, so eight coalesced
-requests cost far less than eight serial forwards.
+worker thread drains the shared admission queue, stacking the next
+request and up to ``max_batch - 1`` same-model requests already queued
+behind it into one forward pass, then fans the per-sequence results back
+out.  The worker never holds a batch open for stragglers: requests that
+arrive during a forward pass queue up and form the next batch.  Batching
+is what makes a NumPy CNN-LSTM servable: the conv/GEMM kernels amortize
+across the batch axis, so eight coalesced requests cost far less than
+eight serial forwards.
 
 Admission control is load-shedding, not buffering: when the bounded queue
 is full, :meth:`submit` raises :class:`~repro.runtime.errors.OverloadError`
@@ -55,6 +57,9 @@ SERVE_LATENCY_BUCKETS = (
 #: load is the observable proof that micro-batching coalesces requests.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: How long a request without an explicit deadline waits for its result.
+DEFAULT_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -62,14 +67,10 @@ class EngineConfig:
 
     #: Most sequences stacked into one forward pass.
     max_batch: int = 8
-    #: How long the worker holds an open batch waiting for stragglers.
-    max_delay_ms: float = 5.0
     #: Admission queue bound; a full queue sheds load with ``429``.
     queue_capacity: int = 64
     #: Warm models kept resident (LRU-evicted beyond this).
     model_cache_size: int = 2
-    #: Fallback wait bound for requests without an explicit deadline.
-    default_timeout_s: float = 30.0
     #: Run the trigger detector on requests that don't say either way
     #: (only effective when the served artifact ships a detector).
     screen_by_default: bool = True
@@ -79,10 +80,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_ms < 0.0:
-            raise ValueError(
-                f"max_delay_ms must be >= 0, got {self.max_delay_ms}"
-            )
         if self.queue_capacity < 1:
             raise ValueError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity}"
@@ -90,10 +87,6 @@ class EngineConfig:
         if self.model_cache_size < 1:
             raise ValueError(
                 f"model_cache_size must be >= 1, got {self.model_cache_size}"
-            )
-        if self.default_timeout_s <= 0.0:
-            raise ValueError(
-                f"default_timeout_s must be > 0, got {self.default_timeout_s}"
             )
         if not 0.0 <= self.screen_threshold <= 1.0:
             raise ValueError(
@@ -338,7 +331,7 @@ class InferenceEngine:
         if screen is None:
             screen = self.config.screen_by_default
         deadline_ns = None
-        timeout_s = self.config.default_timeout_s
+        timeout_s = DEFAULT_TIMEOUT_S
         if deadline_s is not None:
             if deadline_s <= 0.0:
                 raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
@@ -375,13 +368,13 @@ class InferenceEngine:
     # Worker
     # ------------------------------------------------------------------
     def _collect_batch(self) -> "list[_Pending]":
-        """Block for the next request, then gather same-model stragglers.
+        """Block for the next request, then take what is already queued.
 
-        Holds the batch open for at most ``max_delay_ms`` after the first
-        request arrives — the explicit latency-for-throughput trade —
-        and never mixes model ids within one stacked forward.
+        Every request queued behind the first with the same model id
+        joins its batch, up to ``max_batch``; model ids never mix within
+        one stacked forward.  Nothing waits for stragglers: a request
+        that arrives during a forward pass joins the next batch.
         """
-        max_delay_s = self.config.max_delay_ms / 1e3
         with self._wakeup:
             while not self._queue:
                 if not self._running:
@@ -389,22 +382,13 @@ class InferenceEngine:
                 self._wakeup.wait()
             first = self._queue.popleft()
             batch = [first]
-            deadline = time.perf_counter() + max_delay_s
-            while len(batch) < self.config.max_batch:
-                index = 0
-                while index < len(self._queue) and len(batch) < self.config.max_batch:
-                    if self._queue[index].model_id == first.model_id:
-                        del_target = self._queue[index]
-                        del self._queue[index]
-                        batch.append(del_target)
-                    else:
-                        index += 1
-                if len(batch) >= self.config.max_batch:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0.0 or not self._running:
-                    break
-                self._wakeup.wait(remaining)
+            index = 0
+            while index < len(self._queue) and len(batch) < self.config.max_batch:
+                if self._queue[index].model_id == first.model_id:
+                    batch.append(self._queue[index])
+                    del self._queue[index]
+                else:
+                    index += 1
             metrics().gauge("serve.queue_depth").set(len(self._queue))
         return batch
 

@@ -74,7 +74,13 @@ from ..runtime.logging import get_logger
 from ..runtime.supervisor import Child, Supervisor, stop_children
 from ..runtime.telemetry import MetricsRegistry, metrics, span
 from ..runtime.threads import blas_threads
-from .engine import SERVE_LATENCY_BUCKETS, EngineConfig, InferenceEngine, Prediction
+from .engine import (
+    DEFAULT_TIMEOUT_S,
+    SERVE_LATENCY_BUCKETS,
+    EngineConfig,
+    InferenceEngine,
+    Prediction,
+)
 from .registry import ModelRegistry
 
 __all__ = [
@@ -146,7 +152,7 @@ _CLIENT_FAULTS = (
 class FleetConfig:
     """Size, engine, heartbeat, respawn and reload-poll knobs of the fleet.
 
-    Requests without a deadline wait up to ``engine.default_timeout_s``.
+    Requests without a deadline wait up to ``DEFAULT_TIMEOUT_S``.
     """
 
     #: Engine replicas (worker processes).
@@ -593,10 +599,7 @@ class ReplicaFleet:
         if deadline_s is not None and deadline_s <= 0.0:
             raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         self._check_breaker(model_id)
-        timeout_s = (
-            deadline_s if deadline_s is not None
-            else self.config.engine.default_timeout_s
-        )
+        timeout_s = deadline_s if deadline_s is not None else DEFAULT_TIMEOUT_S
 
         replica = self._pick_replica()
         with self._req_lock:

@@ -200,7 +200,8 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         """The single response choke point: every response passes through
         here, so every response gets the request-id header and exactly
-        one access-log line."""
+        one access-log line.  The line is written before the body, so a
+        client that reads the log once its response arrives finds it."""
         rid = getattr(self, "_rid", None)
         if rid is None:
             rid = self._rid = new_request_id()
@@ -213,9 +214,9 @@ class _Handler(BaseHTTPRequestHandler):
             retry_after = _retry_after(status, None)
         if retry_after is not None:
             self.send_header("Retry-After", retry_after)
+        self._log_access(status, payload, retry_after)
         self.end_headers()
         self.wfile.write(body)
-        self._log_access(status, payload, retry_after)
 
     def _log_access(
         self, status: int, payload: dict, retry_after: "str | None"

@@ -1,6 +1,8 @@
 """Trainer fault tolerance: config validation, NaN-loss policies, and
 checkpoint/resume across injected mid-epoch crashes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,25 @@ def test_resume_continues_from_last_epoch(micro_dataset, tmp_path):
     )
     assert resumed.train_loss == uninterrupted.train_loss
     assert resumed.train_accuracy == uninterrupted.train_accuracy
+
+
+def test_failed_state_write_leaves_no_temp_file(
+    micro_dataset, tmp_path, monkeypatch
+):
+    """A checkpoint save whose JSON dump fails leaves no ``*.tmp`` file."""
+    ckpt = tmp_path / "run"
+
+    def fail(*args, **kwargs):
+        raise TypeError("injected dump failure")
+
+    monkeypatch.setattr(json, "dump", fail)
+    monkeypatch.setattr(json, "dumps", fail)
+    with pytest.raises(TypeError, match="injected dump failure"):
+        micro_trainer(checkpoint_dir=ckpt, epochs=1).fit(
+            fresh_model(), micro_dataset.x, micro_dataset.y
+        )
+    assert (ckpt / "last.npz").exists()
+    assert list(ckpt.glob("*.tmp")) == []
 
 
 def test_resume_without_checkpoint_starts_fresh(micro_dataset, tmp_path):

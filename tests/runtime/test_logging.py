@@ -5,7 +5,6 @@ import logging
 
 from repro.runtime.logging import (
     configure_logging,
-    format_fields,
     get_logger,
     level_for_verbosity,
 )
@@ -46,16 +45,6 @@ def test_messages_respect_level_and_reach_stream():
     assert "visible warning" in out
     assert "[repro.test.module]" in out
     configure_logging(0)  # restore default for other tests
-
-
-def test_format_fields_quotes_awkward_values():
-    assert format_fields(msg="two words") == 'msg="two words"'
-    assert format_fields(empty="") == 'empty=""'
-    assert format_fields(tabby="a\tb") == 'tabby="a\tb"'
-    assert format_fields(quoted='say "hi"') == 'quoted="say \\"hi\\""'
-    assert format_fields(backslash="a\\b c") == 'backslash="a\\\\b c"'
-    # Plain values stay unquoted.
-    assert format_fields(n=3, path="/a/b.npz") == "n=3 path=/a/b.npz"
 
 
 def test_timestamps_flag_prefixes_asctime():

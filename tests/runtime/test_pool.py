@@ -1,5 +1,6 @@
 """WorkerPool: crash isolation, deadlines, retries, determinism, degrade."""
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -45,6 +46,10 @@ def _boom():
 
 def _pid_and_blas_threads():
     return os.getpid(), blas_threads()
+
+
+def _frozen_objects():
+    return gc.get_freeze_count()
 
 
 class TestDeriveTaskSeed:
@@ -95,6 +100,14 @@ class TestPoolBasics:
         assert len({r.value[0] for r in results}) == 2
         assert [r.value[1] for r in results] == [worker_blas_share(2)] * 2
         assert blas_threads() == before
+
+    def test_workers_freeze_the_inherited_heap(self):
+        """Forked workers move the objects they inherit out of the cyclic
+        collector's reach, so their full collections skip that heap."""
+        tasks = [PoolTask(key=f"t{i}", fn=_frozen_objects) for i in range(2)]
+        results = run_tasks(tasks, PoolConfig(workers=2, retry=FAST_RETRY))
+        assert all(result.value > 0 for result in results)
+        assert gc.get_freeze_count() == 0
 
     def test_on_result_sees_every_terminal_outcome(self):
         seen = []

@@ -15,7 +15,6 @@ from repro.runtime.telemetry import (
     metrics,
     span,
     telemetry,
-    traced,
 )
 
 
@@ -91,19 +90,6 @@ class TestSpans:
         assert timer.duration_s > 0.0
         # ... but is not collected into the trace buffer.
         assert tel.finished_spans() == []
-
-    def test_traced_decorator(self):
-        tel = telemetry()
-        tel.enable()
-
-        @traced("fn.work", kind="test")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        (sp,) = tel.finished_spans()
-        assert sp.name == "fn.work"
-        assert sp.attributes == {"kind": "test"}
 
     def test_aggregate_orders_by_total(self):
         tel = Telemetry()

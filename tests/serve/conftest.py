@@ -17,6 +17,7 @@ import pytest
 from repro.datasets.activities import ACTIVITY_NAMES
 from repro.datasets.dataset import HeatmapDataset
 from repro.defense.detector import DetectorConfig, TriggerDetector
+from repro.models import CNNLSTMClassifier
 from repro.models.trainer import TrainingConfig
 from repro.serve import (
     EngineConfig,
@@ -76,12 +77,38 @@ def published_registry(
     return registry, model_id
 
 
+def hold_first_forward(monkeypatch, release) -> threading.Event:
+    """Hold the first model forward pass until ``release()`` returns.
+
+    Later forwards run unheld.  The returned event is set once the first
+    forward has started, so a test can queue requests behind it, or let
+    a deadline pass, without relying on timing.
+    """
+    started = threading.Event()
+    predict_logits = CNNLSTMClassifier.predict_logits
+
+    def held(self, *args, **kwargs):
+        if not started.is_set():
+            started.set()
+            release()
+        return predict_logits(self, *args, **kwargs)
+
+    monkeypatch.setattr(CNNLSTMClassifier, "predict_logits", held)
+    return started
+
+
+def wait_for_queued(engine: InferenceEngine, count: int) -> None:
+    """Block until ``count`` requests sit in the engine's queue."""
+    with engine._wakeup:
+        assert engine._wakeup.wait_for(
+            lambda: len(engine._queue) >= count, timeout=30.0
+        )
+
+
 @pytest.fixture()
 def engine(published_registry) -> InferenceEngine:
     registry, _ = published_registry
-    with InferenceEngine(
-        registry, EngineConfig(max_batch=4, max_delay_ms=25.0)
-    ) as running:
+    with InferenceEngine(registry, EngineConfig(max_batch=4)) as running:
         yield running
 
 
@@ -91,7 +118,7 @@ def live_server(published_registry):
     registry, _ = published_registry
     server = build_server(
         registry.root,
-        EngineConfig(max_batch=4, max_delay_ms=5.0),
+        EngineConfig(max_batch=4),
         ServerConfig(port=0),
     )
     with server:

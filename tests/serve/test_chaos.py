@@ -22,9 +22,7 @@ def fleet_server(published_registry):
     registry, _ = published_registry
     config = FleetConfig(
         replicas=3,
-        engine=EngineConfig(
-            max_batch=4, max_delay_ms=2.0, screen_by_default=False
-        ),
+        engine=EngineConfig(max_batch=4, screen_by_default=False),
         heartbeat_interval_s=0.05,
         heartbeat_miss_dead=6,
         respawn=RetryPolicy(max_attempts=5, base_delay_s=0.05, max_delay_s=0.25),

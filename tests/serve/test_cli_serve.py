@@ -59,6 +59,14 @@ def test_parser_registers_fleet_and_chaos_flags():
     assert chaos.chaos_slot == 1
 
 
+def test_serve_has_no_batching_hold_flag():
+    """Batches take what is already queued; there is no hold to tune."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "--registry", "r", "--max-delay-ms", "5"]
+        )
+
+
 def test_registry_flag_is_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["publish"])

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.models import CNNLSTMClassifier
 from repro.runtime.backoff import RetryPolicy
 from repro.runtime.telemetry import metrics
 from repro.serve import (
@@ -18,6 +17,8 @@ from repro.serve import (
 )
 from repro.serve import client as client_module
 from repro.serve.client import _retry_after_s
+
+from .conftest import hold_first_forward
 
 SEQUENCE = np.zeros((8, 16, 16), dtype=np.float32)
 POLICY = RetryPolicy(max_attempts=4, base_delay_s=0.01, max_delay_s=5.0)
@@ -139,22 +140,17 @@ def test_burst_with_retries_recovers_shed_requests(
     """
     registry, _ = published_registry
     shed = metrics().counter("serve.load_shed_total")
-    predict_logits = CNNLSTMClassifier.predict_logits
-    first_batch_seen = threading.Event()
 
-    def hold_first_batch(self, *args, **kwargs):
-        if not first_batch_seen.is_set():
-            first_batch_seen.set()
-            deadline = time.monotonic() + 10.0
-            while shed.value == 0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-        return predict_logits(self, *args, **kwargs)
+    def until_shed() -> None:
+        deadline = time.monotonic() + 10.0
+        while shed.value == 0 and time.monotonic() < deadline:
+            time.sleep(0.005)
 
-    monkeypatch.setattr(CNNLSTMClassifier, "predict_logits", hold_first_batch)
+    hold_first_forward(monkeypatch, until_shed)
     server = build_server(
         registry.root,
         EngineConfig(
-            max_batch=4, max_delay_ms=5.0, queue_capacity=2,
+            max_batch=4, queue_capacity=2,
             screen_by_default=False,
         ),
         ServerConfig(port=0),

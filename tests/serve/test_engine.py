@@ -17,7 +17,7 @@ from repro.runtime.telemetry import metrics
 from repro.serve import EngineConfig, InferenceEngine, ModelRegistry
 
 from ..conftest import MICRO_MODEL_CONFIG
-from .conftest import NUM_FRAMES, add_blob
+from .conftest import NUM_FRAMES, add_blob, hold_first_forward, wait_for_queued
 
 
 def test_engine_config_validation():
@@ -27,8 +27,6 @@ def test_engine_config_validation():
         EngineConfig(queue_capacity=0)
     with pytest.raises(ValueError):
         EngineConfig(screen_threshold=1.5)
-    with pytest.raises(ValueError):
-        EngineConfig(max_delay_ms=-1.0)
 
 
 def test_single_prediction_round_trip(engine, micro_dataset):
@@ -40,55 +38,91 @@ def test_single_prediction_round_trip(engine, micro_dataset):
     assert prediction.screening is None  # opted out
 
 
-def test_concurrent_requests_coalesce_into_batches(engine, micro_dataset):
-    """The tentpole property: N concurrent submits share forward passes
-    (the batch-size histogram's mass must not all sit at 1)."""
-    results = []
-    barrier = threading.Barrier(8)
+def _submit_in_threads(engine, sequences):
+    """Start one submitting thread per sequence; returns the threads and
+    the dict their predictions land in, keyed by sequence index."""
+    results: "dict[int, object]" = {}
 
     def call(index: int) -> None:
-        barrier.wait()
-        results.append(
-            engine.submit(micro_dataset.x[index % len(micro_dataset)],
-                          screen=False)
-        )
+        results[index] = engine.submit(sequences[index], screen=False)
 
     threads = [
-        threading.Thread(target=call, args=(index,)) for index in range(8)
+        threading.Thread(target=call, args=(index,))
+        for index in range(len(sequences))
     ]
     for thread in threads:
         thread.start()
+    return threads, results
+
+
+def _join(threads) -> None:
     for thread in threads:
-        thread.join()
-    assert len(results) == 8
-    assert max(result.batch_size for result in results) > 1
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+
+def test_worker_never_waits_on_a_timeout(published_registry, micro_dataset):
+    """The worker takes what is already queued and never holds a batch
+    open: its only waits are untimed ones on an empty queue."""
+    registry, _ = published_registry
+    engine = InferenceEngine(registry, EngineConfig(max_batch=4))
+    timeouts: "list[float | None]" = []
+    waiting = threading.Event()
+    wait = engine._wakeup.wait
+
+    def recording_wait(timeout=None):
+        timeouts.append(timeout)
+        waiting.set()
+        return wait(timeout)
+
+    engine._wakeup.wait = recording_wait
+    with engine:
+        assert waiting.wait(30.0)
+        for index in range(3):
+            prediction = engine.submit(micro_dataset.x[index], screen=False)
+            assert prediction.batch_size == 1
+    assert timeouts
+    assert all(timeout is None for timeout in timeouts), timeouts
+
+
+def test_concurrent_requests_coalesce_into_batches(
+    engine, micro_dataset, monkeypatch
+):
+    """The tentpole property: requests queued during a forward pass share
+    the next ones (the batch-size histogram's mass must not all sit at
+    1).  The first forward is held until the other seven are queued, so
+    they form batches of 4 and 3 (``max_batch`` is 4)."""
+    started = hold_first_forward(
+        monkeypatch, lambda: wait_for_queued(engine, 7)
+    )
+    sequences = [micro_dataset.x[index % len(micro_dataset)] for index in range(8)]
+    first, results = _submit_in_threads(engine, sequences[:1])
+    assert started.wait(30.0)
+    rest, queued = _submit_in_threads(engine, sequences[1:])
+    _join(first + rest)
+    assert results[0].batch_size == 1
+    assert sorted(queued[i].batch_size for i in range(7)) == [3, 3, 3, 4, 4, 4, 4]
     snapshot = metrics().snapshot()["serve.batch_size"]
-    assert snapshot["count"] >= 1
+    assert snapshot["count"] == 3
     # Mean batch size above 1 <=> at least one multi-request forward pass.
     assert snapshot["mean"] > 1.0
 
 
-def test_batched_results_match_solo_results(engine, micro_dataset):
+def test_batched_results_match_solo_results(engine, micro_dataset, monkeypatch):
     """Coalescing must not change any caller's answer."""
     solo = [
         engine.submit(micro_dataset.x[index], screen=False)
-        for index in range(4)
+        for index in range(1, 4)
     ]
-    results: "dict[int, object]" = {}
-    barrier = threading.Barrier(4)
-
-    def call(index: int) -> None:
-        barrier.wait()
-        results[index] = engine.submit(micro_dataset.x[index], screen=False)
-
-    threads = [
-        threading.Thread(target=call, args=(index,)) for index in range(4)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for index in range(4):
+    started = hold_first_forward(
+        monkeypatch, lambda: wait_for_queued(engine, 3)
+    )
+    first, _ = _submit_in_threads(engine, micro_dataset.x[:1])
+    assert started.wait(30.0)
+    rest, results = _submit_in_threads(engine, micro_dataset.x[1:4])
+    _join(first + rest)
+    for index in range(3):
+        assert results[index].batch_size == 3
         assert results[index].label == solo[index].label
         np.testing.assert_allclose(
             results[index].probabilities, solo[index].probabilities,
@@ -121,7 +155,8 @@ def test_submit_racing_stop_is_refused(
     """A stop() landing between submit's first check and its enqueue must
     refuse the request, not queue it behind an exited worker."""
     registry, _ = published_registry
-    engine = InferenceEngine(registry, EngineConfig(default_timeout_s=2.0))
+    monkeypatch.setattr("repro.serve.engine.DEFAULT_TIMEOUT_S", 2.0)
+    engine = InferenceEngine(registry)
     engine.start()
     resolve = registry.resolve
 
@@ -231,37 +266,23 @@ def test_stop_drains_admitted_requests(
 ):
     """Graceful shutdown: requests admitted before stop still complete.
 
-    The first batch is held until the other requests sit in the queue,
-    so all three are admitted before ``stop`` however long a submit
-    takes to get there.
+    The first forward is held until the other two requests sit in the
+    queue, so all three are admitted before ``stop``.
     """
     registry, _ = published_registry
-    engine = InferenceEngine(
-        registry, EngineConfig(max_batch=2, max_delay_ms=50.0)
-    )
+    engine = InferenceEngine(registry, EngineConfig(max_batch=2))
     engine.start()
     all_admitted = threading.Event()
-    predict_logits = CNNLSTMClassifier.predict_logits
 
-    def hold_first_batch(self, x, *args, **kwargs):
-        if not all_admitted.is_set():
-            deadline = time.monotonic() + 10.0
-            while len(x) + engine.queue_depth() < 3 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            all_admitted.set()
-        return predict_logits(self, x, *args, **kwargs)
+    def release() -> None:
+        wait_for_queued(engine, 2)
+        all_admitted.set()
 
-    monkeypatch.setattr(CNNLSTMClassifier, "predict_logits", hold_first_batch)
-    results = []
-
-    def call() -> None:
-        results.append(engine.submit(micro_dataset.x[0], screen=False))
-
-    threads = [threading.Thread(target=call) for _ in range(3)]
-    for thread in threads:
-        thread.start()
+    started = hold_first_forward(monkeypatch, release)
+    first, results = _submit_in_threads(engine, micro_dataset.x[:1])
+    assert started.wait(30.0)
+    rest, queued = _submit_in_threads(engine, micro_dataset.x[:2])
     assert all_admitted.wait(30.0)
     engine.stop()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    assert len(results) == 3
+    _join(first + rest)
+    assert len(results) + len(queued) == 3

@@ -42,9 +42,7 @@ def fast_config(replicas: int, **overrides) -> FleetConfig:
     """Test-speed supervision: 50 ms heartbeats, sub-second respawn."""
     settings = dict(
         replicas=replicas,
-        engine=EngineConfig(
-            max_batch=4, max_delay_ms=2.0, screen_by_default=False
-        ),
+        engine=EngineConfig(max_batch=4, screen_by_default=False),
         heartbeat_interval_s=0.05,
         heartbeat_miss_dead=6,
         respawn=RetryPolicy(

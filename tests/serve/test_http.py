@@ -17,7 +17,7 @@ from repro.serve import (
     run_load,
 )
 
-from .conftest import NUM_FRAMES, add_blob
+from .conftest import NUM_FRAMES, add_blob, hold_first_forward
 
 
 def test_healthz_reports_model_contract(live_server, published_registry):
@@ -118,7 +118,7 @@ def test_saturated_queue_returns_429(published_registry, micro_dataset):
     server = build_server(
         registry.root,
         EngineConfig(
-            max_batch=1, max_delay_ms=20.0, queue_capacity=2,
+            max_batch=1, queue_capacity=2,
             screen_by_default=False,
         ),
         ServerConfig(port=0),
@@ -142,12 +142,16 @@ def test_saturated_queue_returns_429(published_registry, micro_dataset):
         + summary["other_errors"] == 24
 
 
-def test_deadline_exceeded_returns_504(published_registry, micro_dataset):
-    """A deadline far shorter than the batching delay maps to 504."""
+def test_deadline_exceeded_returns_504(
+    published_registry, micro_dataset, monkeypatch
+):
+    """A request whose forward is held past its deadline maps to 504."""
     registry, _ = published_registry
+    answered = threading.Event()
+    hold_first_forward(monkeypatch, lambda: answered.wait(30.0))
     server = build_server(
         registry.root,
-        EngineConfig(max_batch=8, max_delay_ms=500.0, screen_by_default=False),
+        EngineConfig(screen_by_default=False),
         ServerConfig(port=0),
     )
     with server:
@@ -158,9 +162,10 @@ def test_deadline_exceeded_returns_504(published_registry, micro_dataset):
         thread.start()
         try:
             status, payload = predict(
-                server.url, micro_dataset.x[0], deadline_ms=1.0
+                server.url, micro_dataset.x[0], deadline_ms=50.0
             )
         finally:
+            answered.set()
             server.shutdown()
             thread.join()
     assert status == 504

@@ -100,7 +100,7 @@ def test_deadline_504_is_deterministic_under_a_frozen_clock(
     monkeypatch.setattr("repro.serve.engine.time", _FrozenClock())
     server = build_server(
         registry.root,
-        EngineConfig(max_batch=1, max_delay_ms=0.0, screen_by_default=False),
+        EngineConfig(max_batch=1, screen_by_default=False),
         ServerConfig(port=0),
     )
     with serving(server):
@@ -186,7 +186,7 @@ def test_429_still_carries_retry_after(published_registry, micro_dataset):
     server = build_server(
         registry.root,
         EngineConfig(
-            max_batch=1, max_delay_ms=50.0, queue_capacity=1,
+            max_batch=1, queue_capacity=1,
             screen_by_default=False,
         ),
         ServerConfig(port=0),

@@ -8,6 +8,7 @@ for successful predictions.
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.serve import (
     read_access_log,
 )
 from repro.serve.client import _request
-from repro.serve.trace import SPAN_STAGES
+from repro.serve.trace import SPAN_STAGES, AccessLog
 
 ENGINE_STAGES = {"enqueue", "batch_wait", "predict", "fanout"}
 
@@ -40,7 +41,7 @@ def traced_server(published_registry, tmp_path):
     log_path = tmp_path / "access.jsonl"
     server = build_server(
         registry.root,
-        EngineConfig(max_batch=4, max_delay_ms=5.0),
+        EngineConfig(max_batch=4),
         ServerConfig(port=0, access_log_path=str(log_path)),
     )
     with server:
@@ -140,6 +141,28 @@ def test_each_response_logs_exactly_one_line(traced_server, micro_dataset):
         assert entry["latency_ms"] > 0.0
     assert by_id[seen_ids[-1]]["status"] == 404
     assert by_id[seen_ids[-1]]["error"] == "NotFound"
+
+
+def test_access_log_line_is_written_before_the_response(
+    traced_server, micro_dataset, monkeypatch
+):
+    """A client that reads the access log as soon as its response arrives
+    finds that response's line, however slow the log write is."""
+    server, log_path = traced_server
+    log = AccessLog.log
+
+    def slow_log(self, entry):
+        time.sleep(0.2)
+        log(self, entry)
+
+    monkeypatch.setattr(AccessLog, "log", slow_log)
+    for path, body in (
+        ("/healthz", None),
+        ("/v1/predict", _predict_body(micro_dataset)),
+    ):
+        _, _, headers = _request(server.url + path, body)
+        logged = [entry["id"] for entry in read_access_log(log_path)]
+        assert _header(headers) in logged, path
 
 
 def test_chrome_trace_export(traced_server, micro_dataset, tmp_path):

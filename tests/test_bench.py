@@ -1,6 +1,7 @@
 """Benchmark suite: schema, determinism of the workload, CLI integration."""
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -150,6 +151,23 @@ def test_write_round_trips_json(bench_result, tmp_path):
     loaded = json.loads(path.read_text())
     validate_bench_result(loaded)
     assert loaded["preset"] == bench_result["preset"]
+
+
+def test_interrupted_write_keeps_the_existing_file(
+    bench_result, tmp_path, monkeypatch
+):
+    """A write that dies before its rename leaves the old file's bytes."""
+    path = tmp_path / "BENCH_2026-01-01.json"
+    path.write_text('{"old": true}\n')
+
+    def interrupted(*args, **kwargs):
+        raise OSError("interrupted before the rename")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError, match="interrupted"):
+        write_bench_result(bench_result, path)
+    assert path.read_text() == '{"old": true}\n'
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
 
 def test_default_output_path_embeds_utc_date(bench_result):
