@@ -39,7 +39,7 @@ from ..runtime.backoff import TRANSIENT_IO_POLICY, retry_call
 from ..runtime.errors import CacheCorruptionError
 from ..runtime.guards import all_finite
 from ..runtime.logging import get_logger
-from ..runtime.telemetry import metrics, span
+from ..runtime.telemetry import FILE_MODE, metrics, span
 from .dataset import HeatmapDataset, SampleMeta
 
 _log = get_logger("datasets.cache")
@@ -107,6 +107,7 @@ def save_dataset(dataset: HeatmapDataset, path: "str | os.PathLike") -> Path:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(handle.fileno(), FILE_MODE)
             np.savez_compressed(
                 handle,
                 x=dataset.x,

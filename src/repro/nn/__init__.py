@@ -2,9 +2,10 @@
 
 Replaces the paper's PyTorch training stack at laptop scale.  Everything
 the CNN-LSTM prototype needs — reverse-mode autodiff (:mod:`tensor`),
-conv/pool/dropout/cross-entropy (:mod:`functional`), the module system
-(:mod:`layers`), LSTM (:mod:`recurrent`), Adam (:mod:`optim`) and
-checkpointing (:mod:`serialization`) — implemented from scratch.
+conv/pool/LSTM/dropout/cross-entropy ops (:mod:`functional`), the module
+system (:mod:`layers`), the LSTM layer (:mod:`recurrent`), whose whole
+recurrence is one graph node, Adam (:mod:`optim`) and checkpointing
+(:mod:`serialization`) — implemented from scratch.
 """
 
 from . import functional
@@ -31,7 +32,7 @@ from .layers import (
 from .optim import Adam, clip_grad_norm
 from .recurrent import LSTM, LSTMCell
 from .serialization import load_checkpoint, save_checkpoint
-from .tensor import Tensor, stack
+from .tensor import Tensor
 
 __all__ = [
     "Adam",
@@ -59,6 +60,5 @@ __all__ = [
     "orthogonal",
     "save_checkpoint",
     "softmax",
-    "stack",
     "xavier_uniform",
 ]

@@ -1,14 +1,17 @@
-"""Structured differentiable ops: convolution, pooling, dropout, losses.
+"""Structured differentiable ops: convolution, pooling, LSTM, dropout, losses.
 
 These complement the elementwise/linear-algebra primitives on
-:class:`~repro.nn.tensor.Tensor` with the image ops the frame CNN needs.
-Convolution is an ``as_strided`` im2col whose forward and weight-gradient
-products run through ``np.matmul`` (BLAS); its input gradient is one GEMM
-into tap-major columns that span the padded width, so ``_col2im`` adds
-each kernel tap as a single flat slice.  Max pooling takes
-``np.maximum`` over the ``k x k`` strided views and builds its
-first-maximum routing mask only in backward.  ``tests/nn/oracles.py``
-keeps the einsum/argmax formulations these replaced as test references.
+:class:`~repro.nn.tensor.Tensor` with the image ops the frame CNN needs
+and the recurrence the LSTM head runs.  Convolution is an ``as_strided``
+im2col whose forward and weight-gradient products run through
+``np.matmul`` (BLAS); its input gradient is one GEMM into tap-major
+columns that span the padded width, so ``_col2im`` adds each kernel tap
+as a single flat slice.  Max pooling takes ``np.maximum`` over the
+``k x k`` strided views and builds its first-maximum routing mask only in
+backward.  :func:`lstm` is the whole recurrence as one graph node, with
+hand-written backpropagation through time.  ``tests/nn/oracles.py``
+keeps the einsum/argmax formulations and the per-step LSTM tape these
+replaced as test references.
 """
 
 from __future__ import annotations
@@ -136,6 +139,111 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         x._accumulate(grad_x)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
+
+
+def lstm(x: Tensor, weight_ih: Tensor, weight_hh: Tensor, bias: Tensor) -> Tensor:
+    """Single-layer LSTM over ``(N, T, F)`` inputs; the last hidden ``(N, H)``.
+
+    Gates are stacked (input, forget, cell, output) in the ``(4H, F)`` and
+    ``(4H, H)`` weights, and the state starts at zero.  The whole
+    recurrence is one graph node: the forward runs on raw arrays into
+    buffers allocated once per call, and the backward is hand-written
+    backpropagation through time.  Both keep the operation order of the
+    per-step tape this replaced (``tests/nn/oracles.py``), so outputs and
+    gradients match it bit for bit: one ``x_t @ W_ih.T`` GEMM per step
+    (a single all-steps GEMM rounds differently), the tape's elementwise
+    association, ``W_ih`` and ``bias`` gradients summed from the last
+    step back, and the ``W_hh`` gradient summed from step 0 forward,
+    starting with the zero initial state's product.  The tape's slice
+    backward added gate gradients into zeros, turning -0.0 into +0.0;
+    here the GEMMs and sums that consume them do the same.
+    """
+    n, steps, _ = x.shape
+    hs = weight_hh.shape[1]
+    xs = x.data.transpose(1, 0, 2)  # xs[t] is the tape's x[:, t, :] view
+    w_ih, w_hh, b = weight_ih.data, weight_hh.data, bias.data
+    w_ih_t, w_hh_t = w_ih.T, w_hh.T
+    dtype = np.result_type(x.data, w_ih)
+    # acts[t] holds step t's gate activations; hiddens[t] and cells[t] the
+    # state entering step t, so index 0 is the zero initial state.  Each
+    # step gets its own arrays rather than a slice of one (T, N, ...)
+    # block: with block buffers, glibc returned the freed top of the
+    # serving thread's heap to the OS after every request, and the next
+    # request page-faulted its megabytes of CNN temporaries back in.
+    zeros = np.zeros((n, hs), dtype=dtype)
+    acts = [np.empty((n, 4 * hs), dtype=dtype) for _ in range(steps)]
+    hiddens = [zeros] + [np.empty((n, hs), dtype=dtype) for _ in range(steps)]
+    cells = [zeros] + [np.empty((n, hs), dtype=dtype) for _ in range(steps)]
+    tanh_cells = [np.empty((n, hs), dtype=dtype) for _ in range(steps)]
+    pre = np.empty((n, 4 * hs), dtype=dtype)
+    # The sigmoid runs over the whole row, cell-input slot included (tanh
+    # overwrites it); exp(-x) overflowing to inf just saturates it to 0.
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            np.matmul(xs[t], w_ih_t, out=pre)
+            pre += hiddens[t] @ w_hh_t
+            pre += b
+            act = acts[t]
+            np.negative(pre, out=act)
+            np.exp(act, out=act)
+            act += 1.0
+            np.divide(1.0, act, out=act)
+            np.tanh(pre[:, 2 * hs : 3 * hs], out=act[:, 2 * hs : 3 * hs])
+            c = cells[t + 1]
+            np.multiply(act[:, hs : 2 * hs], cells[t], out=c)
+            c += act[:, :hs] * act[:, 2 * hs : 3 * hs]
+            np.tanh(c, out=tanh_cells[t])
+            np.multiply(act[:, 3 * hs :], tanh_cells[t], out=hiddens[t + 1])
+
+    def backward(grad: np.ndarray) -> None:
+        dgates = np.zeros((steps, n, 4 * hs), dtype=dtype)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        grad_ih = grad_bias = None
+        dh, dc_carry = grad, None
+        for t in range(steps - 1, -1, -1):
+            act, tanh_c, d = acts[t], tanh_cells[t], dgates[t]
+            dc = dh * act[:, 3 * hs :]
+            dc *= 1.0 - tanh_c**2
+            if dc_carry is not None:
+                dc += dc_carry
+            # The sigmoid gates' upstream gradients, then the sigmoid
+            # derivative over the whole row; the cell-input slot gets
+            # tanh's derivative after.
+            np.multiply(dc, act[:, 2 * hs : 3 * hs], out=d[:, :hs])
+            np.multiply(dc, cells[t], out=d[:, hs : 2 * hs])
+            np.multiply(dh, tanh_c, out=d[:, 3 * hs :])
+            d *= act
+            d *= 1.0 - act
+            np.multiply(
+                dc * act[:, :hs],
+                1.0 - act[:, 2 * hs : 3 * hs] ** 2,
+                out=d[:, 2 * hs : 3 * hs],
+            )
+            if grad_ih is None:
+                grad_ih, grad_bias = xs[t].T @ d, d.sum(axis=0)
+            else:
+                grad_ih += xs[t].T @ d
+                grad_bias += d.sum(axis=0)
+            if dx is not None:
+                dx[:, t, :] = d @ w_ih
+            if t:
+                dh = d @ w_hh
+                dc_carry = dc * act[:, hs : 2 * hs]
+        if weight_ih.requires_grad:
+            weight_ih._accumulate(grad_ih.T)
+        if bias.requires_grad:
+            bias._accumulate(grad_bias)
+        if weight_hh.requires_grad:
+            grad_hh = hiddens[0].T @ dgates[0]
+            for t in range(1, steps):
+                grad_hh += hiddens[t].T @ dgates[t]
+            weight_hh._accumulate(grad_hh.T)
+        if dx is not None:
+            x._accumulate(dx)
+
+    return Tensor(
+        hiddens[steps], _parents=(x, weight_ih, weight_hh, bias), _backward=backward
+    )
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

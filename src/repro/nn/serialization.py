@@ -12,6 +12,7 @@ import tempfile
 
 import numpy as np
 
+from ..runtime.telemetry import FILE_MODE
 from .layers import Module
 
 
@@ -30,6 +31,7 @@ def save_arrays(arrays: dict, path: str | os.PathLike) -> None:
     fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(handle.fileno(), FILE_MODE)
             # npz keys cannot contain '/' reliably across loaders; '.' is fine.
             np.savez_compressed(handle, **arrays)
             handle.flush()

@@ -12,7 +12,7 @@ gradients.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -371,23 +371,3 @@ class Tensor:
             self._accumulate(grad * sign)
 
         return Tensor(out_data, _parents=(self,), _backward=backward)
-
-
-# ----------------------------------------------------------------------
-# Multi-tensor constructors
-# ----------------------------------------------------------------------
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiably."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("cannot stack zero tensors")
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
-

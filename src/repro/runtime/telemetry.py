@@ -409,12 +409,23 @@ class MetricsRegistry:
             self._instruments.clear()
 
 
+# The atomic writers' temp files come from ``mkstemp`` as 0600; each is
+# set to the mode ``open()`` would give before it is renamed into place.
+# The umask is process-wide and reading it means setting it, so it is
+# read once, here.
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
+#: Mode of the files the atomic writers create: 0666 less the umask.
+FILE_MODE = 0o666 & ~_UMASK
+
+
 def write_text_atomic(path: Path, text: str) -> Path:
     """Write-then-rename so a crash never leaves a truncated file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), FILE_MODE)
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

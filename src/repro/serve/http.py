@@ -131,6 +131,11 @@ class InferenceServer(ThreadingHTTPServer):
 
     #: In-flight handler threads must not block interpreter exit.
     daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 overflowed under a
+    #: synchronized burst and cost requests their connection; with room
+    #: to accept them, the engine's admission queue sheds the surplus as
+    #: 429s instead.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -9,6 +9,8 @@ micro model) across test modules.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,11 @@ def trained_micro_model(micro_dataset, micro_model_config) -> CNNLSTMClassifier:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def new_file_mode() -> int:
+    """The mode ``open()`` gives a new file under this process's umask."""
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return 0o666 & ~umask

@@ -3,6 +3,7 @@ detected, quarantined, and transparently regenerated — never surfaced as a
 raw ``zipfile.BadZipFile``."""
 
 import json
+import stat
 import zlib
 
 import numpy as np
@@ -171,6 +172,11 @@ def test_quarantine_uses_numbered_suffixes(tmp_path):
 def test_save_is_atomic_no_temp_residue(tmp_path):
     save_dataset(make_dataset(), tmp_path / "ds.npz")
     assert [p.name for p in tmp_path.iterdir()] == ["ds.npz"]
+
+
+def test_save_honours_the_umask(tmp_path, new_file_mode):
+    path = save_dataset(make_dataset(), tmp_path / "ds.npz")
+    assert stat.S_IMODE(path.stat().st_mode) == new_file_mode
 
 
 def test_save_failure_leaves_no_partial_archive(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
-"""Reference formulations of the frame CNN's kernels, for tests only.
+"""Reference formulations of the model's kernels, for tests only.
 
 These are the einsum convolution (with its nine-strided-add col2im), the
 argmax max pool and the ``np.where`` ReLU that ``repro.nn`` shipped
-before its BLAS/strided-view kernels.  They are kept verbatim so the
+before its BLAS/strided-view kernels, and the per-step LSTM tape
+(``LSTMCell.forward`` and ``initial_state``, unrolled by ``LSTM.forward``)
+that ``repro.nn.functional.lstm`` replaced.  They are kept verbatim so the
 oracle tests in ``test_kernel_oracles.py`` can pin the fast kernels to
 them; nothing under ``src/`` imports this module.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import Tensor
+from repro.nn import LSTMCell, Tensor
 
 
 def _im2col(
@@ -117,3 +119,32 @@ def relu_where(x: Tensor) -> Tensor:
         x._accumulate(grad * mask)
 
     return Tensor(out_data, _parents=(x,), _backward=backward)
+
+
+def lstm_cell_step(
+    cell: LSTMCell, x: Tensor, state: "tuple[Tensor, Tensor]"
+) -> "tuple[Tensor, Tensor]":
+    h_prev, c_prev = state
+    gates = x @ cell.weight_ih.transpose() + h_prev @ cell.weight_hh.transpose() + cell.bias
+    hs = cell.hidden_size
+    i_gate = gates[:, 0 * hs : 1 * hs].sigmoid()
+    f_gate = gates[:, 1 * hs : 2 * hs].sigmoid()
+    g_gate = gates[:, 2 * hs : 3 * hs].tanh()
+    o_gate = gates[:, 3 * hs : 4 * hs].sigmoid()
+    c_new = f_gate * c_prev + i_gate * g_gate
+    h_new = o_gate * c_new.tanh()
+    return h_new, c_new
+
+
+def lstm_initial_state(cell: LSTMCell, batch_size: int) -> "tuple[Tensor, Tensor]":
+    dtype = cell.weight_ih.data.dtype
+    zeros = np.zeros((batch_size, cell.hidden_size), dtype=dtype)
+    return Tensor(zeros.copy()), Tensor(zeros.copy())
+
+
+def lstm_per_step(cell: LSTMCell, x: Tensor) -> Tensor:
+    """The last hidden state, one tape node per op and step."""
+    h, c = lstm_initial_state(cell, x.shape[0])
+    for t in range(x.shape[1]):
+        h, c = lstm_cell_step(cell, x[:, t, :], (h, c))
+    return h

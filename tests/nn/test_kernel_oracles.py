@@ -1,18 +1,21 @@
-"""The frame CNN's kernels against the formulations they replaced.
+"""The model's kernels against the formulations they replaced.
 
 ``conv2d`` sums in a different order than its einsum oracle, so it is
 held to a tolerance fixed from the dtype: ``CONV_RTOL`` times the
 largest reference magnitude.  ``max_pool2d`` and ReLU do no arithmetic
 beyond selecting values, so on finite inputs they must match their
-oracles bit for bit.
+oracles bit for bit.  The fused LSTM keeps the per-step tape's operation
+order, so it too must match its oracle bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, conv2d, max_pool2d
+from repro.models import CNNLSTMClassifier, ModelConfig
+from repro.nn import LSTM, Tensor, conv2d, cross_entropy, functional, load_checkpoint, max_pool2d
 
-from .oracles import conv2d_einsum, max_pool2d_argmax, relu_where
+from .oracles import conv2d_einsum, lstm_per_step, max_pool2d_argmax, relu_where
+from .test_tensor import numerical_gradient
 
 CONV_RTOL = {np.float32: 1e-4, np.float64: 1e-10}
 
@@ -121,3 +124,128 @@ def test_relu_propagates_nan_that_where_zeroed():
     leaf = Tensor(x, requires_grad=True)
     leaf.relu().backward(np.ones(3))
     assert np.array_equal(leaf.grad, [0.0, 0.0, 1.0])
+
+
+# The classifier's LSTM sizes (feature_dim 32, lstm_hidden 48) under a
+# small frame CNN, so a pass at N=16, T=32 stays cheap.
+LSTM_TEST_CONFIG = ModelConfig(frame_shape=(8, 8), conv_channels=(2, 4))
+
+#: State-dict keys of a classifier checkpoint (and of a registry
+#: artifact's weights) as written before the LSTM became one node.
+CLASSIFIER_STATE_KEYS = [
+    "encoder.body.layers.0.weight",
+    "encoder.body.layers.0.bias",
+    "encoder.body.layers.3.weight",
+    "encoder.body.layers.3.bias",
+    "encoder.projection.weight",
+    "encoder.projection.bias",
+    "lstm.cell.weight_ih",
+    "lstm.cell.weight_hh",
+    "lstm.cell.bias",
+    "head.weight",
+    "head.bias",
+]
+
+
+@pytest.fixture
+def per_step_lstm(monkeypatch):
+    """Route ``LSTM.forward`` through the per-step tape oracle."""
+
+    def use():
+        monkeypatch.setattr(LSTM, "forward", lambda self, x: lstm_per_step(self.cell, x))
+
+    return use
+
+
+def _classifier_step(batch, steps, training):
+    """Logits, every parameter gradient and the input gradient of one
+    float32 forward and backward pass of a fresh classifier."""
+    model = CNNLSTMClassifier(LSTM_TEST_CONFIG, np.random.default_rng(5))
+    model.train() if training else model.eval()
+    rng = np.random.default_rng(100 * batch + steps)
+    x = Tensor(rng.random((batch, steps, 8, 8), dtype=np.float32), requires_grad=True)
+    labels = rng.integers(0, LSTM_TEST_CONFIG.num_classes, size=batch)
+    logits = model(x)
+    cross_entropy(logits, labels).backward()
+    return [logits.data, *(param.grad for param in model.parameters()), x.grad]
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("steps", [1, 16, 32])
+@pytest.mark.parametrize("batch", [1, 8, 16])
+def test_lstm_is_bit_identical_to_per_step_tape(per_step_lstm, batch, steps, training):
+    fused = _classifier_step(batch, steps, training)
+    per_step_lstm()
+    tape = _classifier_step(batch, steps, training)
+    assert len(fused) == 1 + len(CLASSIFIER_STATE_KEYS) + 1
+    for got, ref in zip(fused, tape):
+        assert _bit_identical(got, ref)
+
+
+def test_lstm_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    lstm = LSTM(3, 4, rng)
+    cell = lstm.cell
+    x = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+    weights = rng.normal(size=(2, 4))
+    leaves = [x, cell.weight_ih, cell.weight_hh, cell.bias]
+
+    def loss():
+        inputs = [Tensor(leaf.data) for leaf in leaves]
+        return float((functional.lstm(*inputs).data * weights).sum())
+
+    (functional.lstm(*leaves) * weights).sum().backward()
+    for leaf in leaves:
+        numeric = numerical_gradient(loss, leaf.data)
+        assert np.abs(numeric - leaf.grad).max() < 1e-8
+
+
+def _graph_size(out: Tensor) -> int:
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_lstm_graph_size_does_not_grow_with_steps():
+    rng = np.random.default_rng(12)
+    lstm = LSTM(3, 4, rng)
+    sizes = [
+        _graph_size(lstm(Tensor(rng.normal(size=(2, steps, 3)), requires_grad=True)))
+        for steps in (2, 32)
+    ]
+    assert sizes == [5, 5]  # the LSTM node, its input and three parameters
+
+
+def test_lstm_input_without_grad_gets_none(per_step_lstm):
+    """As SHAP and inference call it: the parameters still get the tape's
+    gradients, the input none."""
+
+    def run():
+        lstm = LSTM(3, 4, np.random.default_rng(13)).astype(np.float32)
+        x = Tensor(np.random.default_rng(14).normal(size=(5, 7, 3)).astype(np.float32))
+        lstm(x).sum().backward()
+        return x.grad, [param.grad for param in lstm.parameters()]
+
+    x_grad, fused = run()
+    per_step_lstm()
+    _, tape = run()
+    assert x_grad is None
+    for got, ref in zip(fused, tape):
+        assert _bit_identical(got, ref)
+
+
+def test_parent_format_checkpoint_predicts_like_per_step_tape(tmp_path, per_step_lstm):
+    state = CNNLSTMClassifier(LSTM_TEST_CONFIG, np.random.default_rng(21)).state_dict()
+    assert list(state) == CLASSIFIER_STATE_KEYS
+    path = tmp_path / "classifier.npz"
+    np.savez_compressed(path, **state)
+    model = CNNLSTMClassifier(LSTM_TEST_CONFIG, np.random.default_rng(22))
+    load_checkpoint(model, path)
+    x = np.random.default_rng(23).random((3, 16, 8, 8), dtype=np.float32)
+    fused = model.predict_logits(x)
+    per_step_lstm()
+    assert _bit_identical(fused, model.predict_logits(x))

@@ -1,4 +1,4 @@
-"""Tests for the LSTM cell and sequence layer."""
+"""Tests for the LSTM layer and its parameters."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,13 @@ from .test_tensor import numerical_gradient
 
 
 def test_cell_state_shapes(rng):
-    cell = LSTMCell(4, 6, rng)
-    h, c = cell.initial_state(3)
-    assert h.shape == (3, 6) and c.shape == (3, 6)
-    h2, c2 = cell(Tensor(np.zeros((3, 4))), (h, c))
-    assert h2.shape == (3, 6) and c2.shape == (3, 6)
+    """The cell holds the gates' stacked parameters; the layer returns (N, H)."""
+    lstm = LSTM(4, 6, rng)
+    cell = lstm.cell
+    assert cell.weight_ih.shape == (24, 4)
+    assert cell.weight_hh.shape == (24, 6)
+    assert cell.bias.shape == (24,)
+    assert lstm(Tensor(np.zeros((3, 5, 4)))).shape == (3, 6)
 
 
 def test_forget_gate_bias_initialized_to_one(rng):
@@ -28,20 +30,6 @@ def test_hidden_bounded_by_tanh(rng):
     x = Tensor(rng.normal(size=(2, 10, 4)) * 5.0)
     h = lstm(x)
     assert (np.abs(h.data) <= 1.0).all()
-
-
-def test_return_sequence_shape(rng):
-    lstm = LSTM(4, 8, rng)
-    out = lstm(Tensor(np.zeros((2, 7, 4))), return_sequence=True)
-    assert out.shape == (2, 7, 8)
-
-
-def test_last_hidden_equals_sequence_tail(rng):
-    lstm = LSTM(3, 5, rng)
-    x = Tensor(rng.normal(size=(2, 6, 3)))
-    last = lstm(Tensor(x.data))
-    sequence = lstm(Tensor(x.data), return_sequence=True)
-    assert np.allclose(last.data, sequence.data[:, -1, :])
 
 
 def test_input_shape_validated(rng):

@@ -1,5 +1,7 @@
 """Tests for checkpoint save/load."""
 
+import stat
+
 import numpy as np
 
 from repro.nn import Linear, ReLU, Sequential, Tensor, load_checkpoint, save_checkpoint
@@ -27,3 +29,9 @@ def test_checkpoint_preserves_dtype(tmp_path, rng):
     save_checkpoint(model, path)
     load_checkpoint(model, path)
     assert model.dtype == np.float32
+
+
+def test_checkpoint_honours_the_umask(tmp_path, rng, new_file_mode):
+    path = tmp_path / "model.npz"
+    save_checkpoint(Sequential(Linear(4, 2, rng)), path)
+    assert stat.S_IMODE(path.stat().st_mode) == new_file_mode

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, stack
+from repro.nn import Tensor
 
 
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -111,10 +111,6 @@ def test_relu_gradient_masks_negative():
     x = Tensor(np.array([-1.0, 2.0, -3.0, 4.0]), requires_grad=True)
     x.relu().sum().backward()
     assert np.allclose(x.grad, [0.0, 1.0, 0.0, 1.0])
-
-
-def test_stack_and_concat_gradient():
-    check_gradient(lambda a, b: stack([a, b], axis=0).sum(), (3,), (3,))
 
 
 def test_diamond_graph_accumulates():

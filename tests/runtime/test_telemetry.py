@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import stat
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.runtime.telemetry import (
     metrics,
     span,
     telemetry,
+    write_text_atomic,
 )
 
 
@@ -206,6 +208,12 @@ class TestMetrics:
         registry.counter("a").inc()
         registry.reset()
         assert registry.snapshot() == {}
+
+
+def test_write_text_atomic_honours_the_umask(tmp_path, new_file_mode):
+    path = write_text_atomic(tmp_path / "record.json", "{}\n")
+    assert stat.S_IMODE(path.stat().st_mode) == new_file_mode
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
 # ----------------------------------------------------------------------
