@@ -409,14 +409,17 @@ class MetricsRegistry:
             self._instruments.clear()
 
 
-# The atomic writers' temp files come from ``mkstemp`` as 0600; each is
-# set to the mode ``open()`` would give before it is renamed into place.
+# The atomic writers' temp files come from ``mkstemp`` as 0600, and staged
+# directories from ``mkdtemp`` as 0700; each is set to the mode ``open()``
+# or ``mkdir`` would give before it is renamed into place.
 # The umask is process-wide and reading it means setting it, so it is
 # read once, here.
 _UMASK = os.umask(0o077)
 os.umask(_UMASK)
 #: Mode of the files the atomic writers create: 0666 less the umask.
 FILE_MODE = 0o666 & ~_UMASK
+#: Mode ``mkdir`` gives a directory: 0777 less the umask.
+DIR_MODE = 0o777 & ~_UMASK
 
 
 def write_text_atomic(path: Path, text: str) -> Path:

@@ -94,6 +94,28 @@ def fetch_json(base_url: str, path: str, timeout_s: float = 10.0) -> dict:
     return payload
 
 
+def _predict_body(
+    sequence: np.ndarray,
+    model: str = "latest",
+    screen: "bool | None" = None,
+    deadline_ms: "float | None" = None,
+) -> bytes:
+    """The ``POST /v1/predict`` body for one sequence.
+
+    ``sequence`` comes first, so a fleet's front door can check the
+    envelope and leave the array's decode to the serving replica.
+    """
+    body: dict = {
+        "sequence": np.asarray(sequence, dtype=np.float32).tolist(),
+        "model": model,
+    }
+    if screen is not None:
+        body["screen"] = screen
+    if deadline_ms is not None:
+        body["deadline_ms"] = deadline_ms
+    return json.dumps(body).encode()
+
+
 def predict(
     base_url: str,
     sequence: np.ndarray,
@@ -104,17 +126,9 @@ def predict(
     request_id: "str | None" = None,
 ) -> "tuple[int, dict]":
     """POST one sequence to ``/v1/predict`` -> ``(status, payload)``."""
-    body: dict = {
-        "sequence": np.asarray(sequence, dtype=np.float32).tolist(),
-        "model": model,
-    }
-    if screen is not None:
-        body["screen"] = screen
-    if deadline_ms is not None:
-        body["deadline_ms"] = deadline_ms
     status, payload, _ = _request(
         base_url.rstrip("/") + "/v1/predict",
-        json.dumps(body).encode(),
+        _predict_body(sequence, model, screen, deadline_ms),
         timeout_s=timeout_s,
         request_id=request_id,
     )
@@ -159,15 +173,7 @@ def predict_with_retry(
     attempt — each attempt is its own HTTP response).
     """
     policy = policy or DEFAULT_RETRY_POLICY
-    body: dict = {
-        "sequence": np.asarray(sequence, dtype=np.float32).tolist(),
-        "model": model,
-    }
-    if screen is not None:
-        body["screen"] = screen
-    if deadline_ms is not None:
-        body["deadline_ms"] = deadline_ms
-    encoded = json.dumps(body).encode()
+    encoded = _predict_body(sequence, model, screen, deadline_ms)
     url = base_url.rstrip("/") + "/v1/predict"
     attempt = 1
     while True:

@@ -36,7 +36,7 @@ from ..models.cnn_lstm import CNNLSTMClassifier, ModelConfig
 from ..nn.serialization import load_arrays, save_arrays
 from ..runtime.errors import ModelNotFoundError, RegistryError
 from ..runtime.logging import get_logger
-from ..runtime.telemetry import metrics, span
+from ..runtime.telemetry import DIR_MODE, metrics, span
 
 _log = get_logger("serve.registry")
 
@@ -169,6 +169,9 @@ class ModelRegistry:
                 tempfile.mkdtemp(dir=self.models_dir, prefix=".staging-")
             )
             try:
+                # ``mkdtemp`` makes the directory 0700; the published
+                # artifact gets the mode ``mkdir`` would have given it.
+                os.chmod(staging, DIR_MODE)
                 save_arrays(model.state_dict(), staging / _WEIGHTS_FILE)
                 files = {_WEIGHTS_FILE: sha256_file(staging / _WEIGHTS_FILE)}
                 detector_entry = None

@@ -271,6 +271,14 @@ def test_parent_side_validation_never_reaches_a_replica(fleet, micro_dataset):
         fleet.submit(micro_dataset.x[0], deadline_s=-1.0)
 
 
+def test_a_wait_that_raises_leaves_no_inflight_entry(fleet, micro_dataset):
+    """A deadline too large for the clock makes the wait raise; the
+    request must not count against its replica's in-flight cap."""
+    with pytest.raises(OverflowError):
+        fleet.submit(micro_dataset.x[0], deadline_s=1e297)
+    assert fleet.queue_depth() == 0
+
+
 def test_circuit_breaker_trips_and_half_opens(solo_fleet):
     replica = solo_fleet._slots[0].replica
     model_id = "m-breaker-test"

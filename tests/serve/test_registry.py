@@ -1,6 +1,10 @@
 """Model registry: atomic publish, aliases, and tamper detection."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,41 @@ def test_stale_schema_version_refused(tmp_path, trained_micro_model):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(RegistryError, match="manifest schema"):
         registry.manifest("latest")
+
+
+_PUBLISH_UNDER_UMASK_022 = """
+import os, stat, sys
+os.umask(0o022)  # before the import: the package reads the umask once
+
+import numpy as np
+
+from repro.datasets.activities import ACTIVITY_NAMES
+from repro.models import CNNLSTMClassifier, ModelConfig
+from repro.serve import ModelRegistry
+
+config = ModelConfig(frame_shape=(16, 16), conv_channels=(4, 8),
+                     feature_dim=12, lstm_hidden=16, dropout=0.0)
+registry = ModelRegistry(sys.argv[1])
+model_id = registry.publish(
+    CNNLSTMClassifier(config, np.random.default_rng(0)), ACTIVITY_NAMES, 8
+)
+for path in (registry.models_dir, registry.model_dir(model_id),
+             registry.model_dir(model_id) / "manifest.json"):
+    print(oct(stat.S_IMODE(os.stat(path).st_mode)))
+"""
+
+
+def test_published_model_directory_honours_the_umask(tmp_path):
+    """Under umask 022 ``models/m-…`` is 0755 like ``models/`` itself,
+    not the 0700 of the temporary directory it was staged in."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    modes = subprocess.run(
+        [sys.executable, "-c", _PUBLISH_UNDER_UMASK_022, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout.split()
+    assert modes == ["0o755", "0o755", "0o644"]
 
 
 def test_label_count_must_match_model(trained_micro_model, tmp_path):
