@@ -29,8 +29,6 @@ from ..geometry.human import BODY_ATTACHMENT_POINTS, BodyShape, HumanModel, Traj
 from ..geometry.mesh import place_sequence
 from ..models.cnn_lstm import CNNLSTMClassifier
 from ..radar.heatmap import drai_sequence
-from ..runtime.errors import SimulationError
-from ..runtime.pool import PoolConfig, PoolTask, run_tasks
 from ..runtime.telemetry import metrics, span
 from .trigger import ReflectorTrigger
 
@@ -209,24 +207,6 @@ def _score_candidates_batched(
     return scores
 
 
-def _score_candidate_chunk(
-    simulator,
-    surrogate,
-    trigger,
-    positions,
-    transforms,
-    base_cubes,
-    clean_heatmaps,
-    clean_features,
-    heatmap_config,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Pool worker entry point: score a contiguous chunk of candidates."""
-    return _score_candidates_batched(
-        simulator, surrogate, trigger, positions, transforms,
-        base_cubes, clean_heatmaps, clean_features, heatmap_config,
-    )
-
-
 class TriggerPlacementOptimizer:
     """Runs the Eq. 2 search for one activity execution."""
 
@@ -249,15 +229,8 @@ class TriggerPlacementOptimizer:
         angle_deg: float,
         stature: float = 1.0,
         style: TrajectoryStyle | None = None,
-        workers: int = 1,
-        pool_config: "PoolConfig | None" = None,
     ) -> PlacementResult:
-        """Score every candidate position for every frame of one execution.
-
-        ``workers > 1`` fans candidate scoring out across a supervised
-        process pool; scoring is RNG-free, so the parallel result is
-        bit-identical to the serial one.
-        """
+        """Score every candidate position for every frame of one execution."""
         with span("attack.placement.optimize", activity=activity) as _span:
             generator = self.generator
             simulator = generator.simulator
@@ -275,22 +248,18 @@ class TriggerPlacementOptimizer:
 
             human = HumanModel(BodyShape(stature_scale=stature))
             candidates, names = candidate_positions(human, self.config)
-            _span.set(candidates=len(candidates), workers=workers)
+            _span.set(candidates=len(candidates))
 
             num_frames = len(base_cubes)
             objective = np.zeros((len(candidates), num_frames))
             feature_distance = np.zeros_like(objective)
             heatmap_deviation = np.zeros_like(objective)
 
-            shared = (
-                transforms, base_cubes, clean_heatmaps, clean_features,
-                heatmap_config,
-            )
-            if workers <= 1 and pool_config is None:
-                scores = self._score_serial(simulator, candidates, names, shared)
-            else:
-                scores = self._score_pooled(
-                    simulator, candidates, shared, workers, pool_config
+            with span("attack.placement.candidates", candidates=len(candidates)):
+                scores = _score_candidates_batched(
+                    simulator, self.surrogate, self.trigger, candidates,
+                    transforms, base_cubes, clean_heatmaps, clean_features,
+                    heatmap_config,
                 )
             for c_index, (d_feat, d_heat) in enumerate(scores):
                 feature_distance[c_index] = d_feat
@@ -307,43 +276,3 @@ class TriggerPlacementOptimizer:
             feature_distance=feature_distance,
             heatmap_deviation=heatmap_deviation,
         )
-
-    def _score_serial(
-        self, simulator, candidates, names, shared
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        with span("attack.placement.candidates", candidates=len(candidates)):
-            return _score_candidates_batched(
-                simulator, self.surrogate, self.trigger, candidates, *shared
-            )
-
-    def _score_pooled(
-        self, simulator, candidates, shared, workers, pool_config
-    ) -> "list[tuple[np.ndarray, np.ndarray]]":
-        """Chunked fan-out: one pool task per contiguous candidate slice.
-
-        Chunking amortizes the per-task cost of serializing the shared
-        scene (base cubes, surrogate weights) across several candidates.
-        """
-        config = pool_config or PoolConfig(workers=workers)
-        num_chunks = max(1, min(len(candidates), config.workers * 2))
-        bounds = np.linspace(0, len(candidates), num_chunks + 1).astype(int)
-        tasks = [
-            PoolTask(
-                key=f"candidates-{start:03d}-{stop:03d}",
-                fn=_score_candidate_chunk,
-                args=(
-                    simulator, self.surrogate, self.trigger,
-                    candidates[start:stop], *shared,
-                ),
-            )
-            for start, stop in zip(bounds[:-1], bounds[1:])
-            if stop > start
-        ]
-        results = run_tasks(tasks, config)
-        failed = [result for result in results if not result.ok]
-        if failed:
-            raise SimulationError(
-                f"{len(failed)}/{len(tasks)} placement chunks failed after "
-                f"retries; first: {failed[0].key}: {failed[0].error}"
-            )
-        return [score for result in results for score in result.value]

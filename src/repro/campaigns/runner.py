@@ -12,7 +12,11 @@ supervised worker pool (``workers=1`` degrades to the serial in-process
 path), checkpoints each terminal outcome in the fsynced sweep journal
 as the pool reports it — so a SIGINT or SIGKILL mid-campaign loses at
 most the in-flight cells and ``--resume`` skips finished ones — and
-aggregates everything into one atomic campaign record.
+aggregates everything into one atomic campaign record.  A serial
+campaign's cell runs in this process and spreads its own dataset
+samples and victim fits over a pool as wide as
+:func:`~repro.runtime.threads.usable_cores`; a pooled campaign's cells
+run in-process in its workers, so a pool never nests in a pool.
 
 Cells return *metrics*, not formatted text: :func:`cell_payload` maps
 each runner's result dataclass to a JSON-able dict split into
@@ -75,6 +79,7 @@ from ..runtime.logging import get_logger
 from ..runtime.pool import PoolConfig, PoolTask, TaskResult, run_tasks
 from ..runtime.records import default_runs_dir
 from ..runtime.telemetry import metrics, span, telemetry
+from ..runtime.threads import usable_cores
 from .config import (
     CampaignCell,
     CampaignConfig,
@@ -181,7 +186,8 @@ def run_experiment(
 
     The one entry point behind ``repro run <exp>`` and every campaign
     cell.  A fresh context per call means a result never depends on
-    which experiments ran before it in the same process.
+    which experiments ran before it in the same process.  ``workers`` is
+    the context's pool width; the result is the same at any width.
     """
     context = ExperimentContext(
         preset, seed=seed, use_disk_cache=use_disk_cache, workers=workers
@@ -306,12 +312,13 @@ def _campaign_cell_task(
     seed: int,
     overrides: "tuple[tuple[str, object], ...]",
     use_disk_cache: bool,
+    workers: int,
 ) -> dict:
     """Pool-worker entry point: run one cell in a fresh context.
 
-    Module-level and picklable; cells run with ``workers=1`` so a pooled
-    campaign never nests a second pool inside a cell.  The resolved
-    preset (base preset + overrides) matches
+    Module-level and picklable.  ``workers`` is the cell's own pool
+    width: 1 inside a pooled campaign's workers, so a pool never nests
+    in a pool.  The resolved preset (base preset + overrides) matches
     :meth:`CampaignCell.resolved_preset`, so a cell is bit-identical to
     the equivalent hand-written invocation.
     """
@@ -321,7 +328,9 @@ def _campaign_cell_task(
     )
     preset = cell.resolved_preset()
     with span("campaign.cell", experiment=experiment, seed=seed):
-        result = run_experiment(experiment, preset, seed, use_disk_cache)
+        result = run_experiment(
+            experiment, preset, seed, use_disk_cache, workers=workers
+        )
     return cell_payload(result)
 
 
@@ -517,18 +526,21 @@ class CampaignRunner:
         batch: "list[CampaignCell]",
         on_result: "Callable[[TaskResult], None]",
     ) -> None:
+        config = self.pool_config or PoolConfig(workers=self.workers)
+        # Serial cells run in this process and take its cores; pooled
+        # cells run in the workers, which must not start pools of their own.
+        cell_workers = usable_cores() if config.workers == 1 else 1
         tasks = [
             PoolTask(
                 key=cell.key,
                 fn=_campaign_cell_task,
                 args=(
                     cell.experiment, cell.preset, cell.seed,
-                    cell.overrides, self.config.use_disk_cache,
+                    cell.overrides, self.config.use_disk_cache, cell_workers,
                 ),
             )
             for cell in batch
         ]
-        config = self.pool_config or PoolConfig(workers=self.workers)
         run_tasks(tasks, config, on_result=on_result)
 
     # ------------------------------------------------------------------

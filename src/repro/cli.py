@@ -30,9 +30,11 @@ experiments, and ``examples/campaigns/all.toml`` sweeps all of them.
 :data:`repro.campaigns.runner.EXPERIMENTS` on a fresh context and prints
 the same rows/series the corresponding paper figure shows (see
 EXPERIMENTS.md for the paper-vs-measured comparison); a failure exits 1
-with the traceback on stderr.  ``--workers N`` fans its dataset
-generation out across a supervised process pool.  ``--verbose``/
-``--quiet`` control the pipeline's structured logs.
+with the traceback on stderr.  The experiment spreads its dataset
+samples and its sweep's victim fits over a supervised process pool as
+wide as the cores this process may use (its affinity mask, so
+``taskset`` bounds it); the printed rows are the same at any width.
+``--verbose``/``--quiet`` control the pipeline's structured logs.
 
 Every ``run`` enables span tracing and writes a run record (config, metric
 snapshot, span aggregates, outcome) under ``runs/`` — ``repro stats``
@@ -60,6 +62,7 @@ from .runtime.records import (
     write_run_record,
 )
 from .runtime.telemetry import metrics, telemetry
+from .runtime.threads import usable_cores
 
 from .bench import format_bench_result, run_bench, write_bench_result
 
@@ -104,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk dataset cache")
-    run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="supervised process-pool width for dataset "
-                     "generation (1 = serial)")
     run.add_argument("--trace", metavar="PATH", default=None,
                      help="export a Chrome-tracing JSON of all spans to PATH")
     run.add_argument("--metrics", metavar="PATH", default=None,
@@ -245,9 +245,6 @@ def main(argv: "list[str] | None" = None) -> int:
         print(format_run_record(load_run_record(path)))
         return 0
 
-    if args.workers < 1:
-        log.error("--workers must be >= 1, got %d", args.workers)
-        return 2
     tel = telemetry()
     tel.reset()
     tel.enable()
@@ -269,7 +266,7 @@ def _run_experiment(args: argparse.Namespace, log) -> int:
         with timer:
             result = run_experiment(
                 name, preset, args.seed,
-                use_disk_cache=not args.no_cache, workers=args.workers,
+                use_disk_cache=not args.no_cache, workers=usable_cores(),
             )
             print(experiment.formatter(result))
     except Exception as exc:  # noqa: BLE001 - CLI boundary

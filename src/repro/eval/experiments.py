@@ -8,6 +8,16 @@ runners (Figs. 3-15, Table I, Sections VI-D and VII) can share work.
 Experiment-to-paper mapping is listed in DESIGN.md; each runner returns a
 plain result object that the benchmark harness prints with
 :mod:`repro.eval.reporting`.
+
+A context of ``workers > 1`` spreads two kinds of independent work over a
+supervised process pool (:mod:`repro.runtime.pool`): the samples of each
+dataset it generates, and the victim fits of a sweep, which
+:meth:`ExperimentContext.attack_metrics` takes as one batch.  Both are
+bit-identical at any width: samples draw from per-task seeds, and a fit
+depends only on its own arguments.  Lone fits and fits that depend on
+the one before them stay in-process: the surrogate, Fig. 7's model, the
+best-of retry of Figs. 14/15, the Section VII defense fits and the
+spectral defense's two.
 """
 
 from __future__ import annotations
@@ -56,8 +66,10 @@ from ..models.metrics import (
 )
 from ..models.trainer import Trainer
 from ..radar.heatmap import heatmap_deviation
+from ..runtime.errors import ReproError
 from ..runtime.guards import ensure_finite
 from ..runtime.logging import get_logger
+from ..runtime.pool import PoolConfig, PoolTask, run_tasks
 from ..runtime.telemetry import span, telemetry
 from ..xai.frame_importance import FrameImportanceAnalyzer
 from .presets import DEFAULT, ExperimentPreset
@@ -68,6 +80,85 @@ TRAIN_ENVIRONMENT_SEED = 100
 ATTACK_ENVIRONMENT_SEED = 200
 
 _log = get_logger("eval.experiments")
+
+
+@dataclass(frozen=True)
+class AttackPoint:
+    """One point of a sweep: an attack at one rate and frame count.
+
+    The point names its plan rather than holding it, so
+    :meth:`ExperimentContext.attack_metrics` builds each plan when the
+    first point needing it comes up, as one sweep step at a time did.
+    """
+
+    scenario: AttackScenario
+    trigger: ReflectorTrigger
+    injection_rate: float
+    #: Frames the plan ranks; the point poisons the first ``num_frames``
+    #: of them (all of them when ``None``).
+    plan_frames: int = 8
+    num_frames: "int | None" = None
+    use_optimal_frames: bool = True
+    use_optimal_position: bool = True
+
+
+def _fit_victim(
+    preset: ExperimentPreset,
+    clean_train: HeatmapDataset,
+    poisoned: "HeatmapDataset | None",
+    seed: int,
+) -> CNNLSTMClassifier:
+    """Phase 2's one fit recipe: clean (+ poisoned) data, seeded init."""
+    with span("stage.train_victim", seed=seed):
+        rng = np.random.default_rng(seed)
+        train_set = clean_train
+        if poisoned is not None and len(poisoned):
+            train_set = inject_poison(train_set, poisoned, rng)
+        model = CNNLSTMClassifier(preset.model_config(), rng)
+        Trainer(preset.training_config(seed=seed)).fit(
+            model, train_set.x, train_set.y
+        )
+    return model
+
+
+def _fit_and_score(
+    preset: ExperimentPreset,
+    clean_train: HeatmapDataset,
+    poisoned: HeatmapDataset,
+    seed: int,
+    triggered: HeatmapDataset,
+    clean_test: HeatmapDataset,
+    target_label: int,
+) -> AttackMetrics:
+    """Fit one victim and score its backdoor: one fit of a sweep.
+
+    Module-level and picklable: a pool worker runs it as it is.
+    """
+    model = _fit_victim(preset, clean_train, poisoned, seed)
+    return evaluate_backdoored_model(model, triggered, clean_test, target_label)
+
+
+def _fit_all(fits: "list[tuple]", width: int) -> "list[AttackMetrics]":
+    """:func:`_fit_and_score` of each argument tuple, in order.
+
+    At width 1 the fits run here, one after the other, and a failure
+    raises as it is; wider, they run over a pool and a fit that fails
+    after its retries raises :class:`ReproError`.
+    """
+    if width <= 1:
+        return [_fit_and_score(*args) for args in fits]
+    tasks = [
+        PoolTask(key=f"victim-{index:03d}", fn=_fit_and_score, args=args)
+        for index, args in enumerate(fits)
+    ]
+    results = run_tasks(tasks, PoolConfig(workers=width))
+    failed = [result for result in results if not result.ok]
+    if failed:
+        raise ReproError(
+            f"{len(failed)}/{len(tasks)} victim fits failed after "
+            f"retries; first: {failed[0].key}: {failed[0].error}"
+        )
+    return [result.value for result in results]
 
 
 class ExperimentContext:
@@ -83,7 +174,8 @@ class ExperimentContext:
         self.preset = preset or DEFAULT
         self.seed = seed
         self.use_disk_cache = use_disk_cache
-        #: Process-pool width for dataset generation (1 = in-process).
+        #: Process-pool width for dataset samples and a sweep's victim
+        #: fits (1 = in-process).
         self.workers = max(1, int(workers))
         self._train_generator: SampleGenerator | None = None
         self._attacker_generator: SampleGenerator | None = None
@@ -216,16 +308,7 @@ class ExperimentContext:
         self, poisoned: HeatmapDataset | None, seed: int
     ) -> CNNLSTMClassifier:
         """Phase 2: operator trains on clean (+ optionally poisoned) data."""
-        train_set = self.clean_train
-        with span("stage.train_victim", seed=seed):
-            rng = np.random.default_rng(seed)
-            if poisoned is not None and len(poisoned):
-                train_set = inject_poison(train_set, poisoned, rng)
-            model = CNNLSTMClassifier(self.preset.model_config(), rng)
-            Trainer(self.preset.training_config(seed=seed)).fit(
-                model, train_set.x, train_set.y
-            )
-        return model
+        return _fit_victim(self.preset, self.clean_train, poisoned, seed)
 
     # ------------------------------------------------------------------
     # Attack plans / pools / test sets (memoized)
@@ -334,38 +417,47 @@ class ExperimentContext:
         )
 
     # ------------------------------------------------------------------
-    # One attack evaluation
+    # Attack evaluation: a sweep's points in one batch of fits
     # ------------------------------------------------------------------
     def attack_metrics(
-        self,
-        scenario: AttackScenario,
-        trigger: ReflectorTrigger,
-        plan: AttackPlan,
-        injection_rate: float,
-        frame_indices: np.ndarray,
-        repetitions: int | None = None,
-    ) -> AttackMetrics:
-        """Train ``repetitions`` victims and average ASR/UASR/CDR."""
+        self, points: "list[AttackPoint]", repetitions: int | None = None
+    ) -> "list[AttackMetrics]":
+        """Each point's ASR/UASR/CDR, averaged over ``repetitions`` victims.
+
+        First every point's plan, poison and triggered test set are built
+        in order, so they draw from the generators' streams as one point
+        at a time did.  Then the ``points x repetitions`` fits, which draw
+        from none of those streams, run in-process in order, or over a
+        pool as wide as :attr:`workers` allows.  Either way each fit gives
+        the same bytes, so the metrics do not depend on the width.
+        """
         repetitions = repetitions or self.preset.repetitions
-        poisoned = self.poisoned_samples(
-            scenario, trigger, plan, injection_rate, frame_indices
-        )
-        triggered = self.triggered_test(scenario, trigger, plan)
-        results = []
-        with span(
-            "stage.attack_eval",
-            scenario=scenario.key,
-            injection_rate=injection_rate,
-            repetitions=repetitions,
-        ):
-            for rep in range(repetitions):
-                model = self.train_victim(poisoned, seed=self.seed + 1000 + rep)
-                results.append(
-                    evaluate_backdoored_model(
-                        model, triggered, self.clean_test, scenario.target_label
-                    )
+        fits = []
+        for point in points:
+            plan = self.attack_plan(
+                point.scenario, point.trigger, point.plan_frames,
+                point.use_optimal_frames, point.use_optimal_position,
+            )
+            poisoned = self.poisoned_samples(
+                point.scenario, point.trigger, plan, point.injection_rate,
+                plan.frame_indices[:point.num_frames],
+            )
+            triggered = self.triggered_test(point.scenario, point.trigger, plan)
+            fits += [
+                (
+                    self.preset, self.clean_train, poisoned,
+                    self.seed + 1000 + rep, triggered, self.clean_test,
+                    point.scenario.target_label,
                 )
-        return mean_attack_metrics(results)
+                for rep in range(repetitions)
+            ]
+        width = min(self.workers, len(fits))
+        with span("stage.attack_eval", fits=len(fits), workers=width):
+            results = _fit_all(fits, width)
+        return [
+            mean_attack_metrics(results[start:start + repetitions])
+            for start in range(0, len(results), repetitions)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +552,17 @@ class SweepResult:
         return [getattr(m, metric) for m in self.curves[curve]]
 
 
+def _curves(
+    labels: "list[str]", metrics: "list[AttackMetrics]"
+) -> "dict[str, list[AttackMetrics]]":
+    """Split a sweep's metrics, curve after curve, into equal rows."""
+    width = len(metrics) // len(labels)
+    return {
+        label: metrics[row * width:(row + 1) * width]
+        for row, label in enumerate(labels)
+    }
+
+
 def run_injection_rate_sweep(
     ctx: ExperimentContext,
     scenarios: "tuple[AttackScenario, ...]",
@@ -469,18 +572,15 @@ def run_injection_rate_sweep(
 ) -> SweepResult:
     """ASR/UASR/CDR vs injection rate (paper Figs. 8 and 10), k fixed."""
     rates = rates or ctx.preset.injection_rates
-    curves: "dict[str, list[AttackMetrics]]" = {}
-    for scenario in scenarios:
-        plan = ctx.attack_plan(scenario, trigger, num_poisoned_frames)
-        row = []
-        for rate in rates:
-            row.append(
-                ctx.attack_metrics(
-                    scenario, trigger, plan, rate, plan.frame_indices
-                )
-            )
-        curves[scenario.key] = row
-    return SweepResult("injection_rate", tuple(rates), curves)
+    metrics = ctx.attack_metrics([
+        AttackPoint(scenario, trigger, rate, num_poisoned_frames)
+        for scenario in scenarios
+        for rate in rates
+    ])
+    return SweepResult(
+        "injection_rate", tuple(rates),
+        _curves([scenario.key for scenario in scenarios], metrics),
+    )
 
 
 def run_poisoned_frames_sweep(
@@ -492,51 +592,46 @@ def run_poisoned_frames_sweep(
 ) -> SweepResult:
     """ASR/UASR/CDR vs #poisoned frames (paper Figs. 9 and 11), rate fixed."""
     frame_counts = frame_counts or ctx.preset.poisoned_frame_counts
-    max_k = max(frame_counts)
-    curves: "dict[str, list[AttackMetrics]]" = {}
-    for scenario in scenarios:
-        plan = ctx.attack_plan(scenario, trigger, max_k)
-        # SHAP ranked all frames once; each k keeps the top slice.
-        row = []
-        for k in frame_counts:
-            frame_indices = plan.frame_indices[:k]
-            row.append(
-                ctx.attack_metrics(
-                    scenario, trigger, plan, injection_rate, frame_indices
-                )
-            )
-        curves[scenario.key] = row
-    return SweepResult("num_poisoned_frames", tuple(float(k) for k in frame_counts), curves)
+    # SHAP ranks the top max(k) frames once; each k keeps the top slice.
+    metrics = ctx.attack_metrics([
+        AttackPoint(scenario, trigger, injection_rate, max(frame_counts), k)
+        for scenario in scenarios
+        for k in frame_counts
+    ])
+    return SweepResult(
+        "num_poisoned_frames", tuple(float(k) for k in frame_counts),
+        _curves([scenario.key for scenario in scenarios], metrics),
+    )
 
 
 def run_trigger_size_injection_sweep(ctx: ExperimentContext) -> SweepResult:
     """2x2 vs 4x4 trigger over injection rates, Push->Pull (paper Fig. 12)."""
     scenario = SIMILAR_SCENARIOS[0]
-    curves: "dict[str, list[AttackMetrics]]" = {}
-    for trigger in (TRIGGER_2X2, TRIGGER_4X4):
-        plan = ctx.attack_plan(scenario, trigger, 8)
-        curves[trigger.name] = [
-            ctx.attack_metrics(scenario, trigger, plan, rate, plan.frame_indices)
-            for rate in ctx.preset.injection_rates
-        ]
-    return SweepResult("injection_rate", ctx.preset.injection_rates, curves)
+    triggers = (TRIGGER_2X2, TRIGGER_4X4)
+    metrics = ctx.attack_metrics([
+        AttackPoint(scenario, trigger, rate)
+        for trigger in triggers
+        for rate in ctx.preset.injection_rates
+    ])
+    return SweepResult(
+        "injection_rate", ctx.preset.injection_rates,
+        _curves([trigger.name for trigger in triggers], metrics),
+    )
 
 
 def run_trigger_size_frames_sweep(ctx: ExperimentContext) -> SweepResult:
     """2x2 vs 4x4 trigger over #poisoned frames (paper Fig. 13)."""
     scenario = SIMILAR_SCENARIOS[0]
+    triggers = (TRIGGER_2X2, TRIGGER_4X4)
     frame_counts = ctx.preset.poisoned_frame_counts
-    curves: "dict[str, list[AttackMetrics]]" = {}
-    for trigger in (TRIGGER_2X2, TRIGGER_4X4):
-        plan = ctx.attack_plan(scenario, trigger, max(frame_counts))
-        curves[trigger.name] = [
-            ctx.attack_metrics(
-                scenario, trigger, plan, 0.4, plan.frame_indices[:k]
-            )
-            for k in frame_counts
-        ]
+    metrics = ctx.attack_metrics([
+        AttackPoint(scenario, trigger, 0.4, max(frame_counts), k)
+        for trigger in triggers
+        for k in frame_counts
+    ])
     return SweepResult(
-        "num_poisoned_frames", tuple(float(k) for k in frame_counts), curves
+        "num_poisoned_frames", tuple(float(k) for k in frame_counts),
+        _curves([trigger.name for trigger in triggers], metrics),
     )
 
 
@@ -650,21 +745,21 @@ def run_ablation(
 ) -> AblationResult:
     """Each module's contribution + under-clothing attack (paper Table I)."""
     scenario = SIMILAR_SCENARIOS[0]
-    rows = []
-    for label, optimal_frames, optimal_position, concealed in ABLATION_CONFIGURATIONS:
-        trigger = TRIGGER_2X2.concealed() if concealed else TRIGGER_2X2
-        plan = ctx.attack_plan(
+    metrics = ctx.attack_metrics([
+        AttackPoint(
             scenario,
-            trigger,
+            TRIGGER_2X2.concealed() if concealed else TRIGGER_2X2,
+            injection_rate,
             num_poisoned_frames,
             use_optimal_frames=optimal_frames,
             use_optimal_position=optimal_position,
         )
-        metrics = ctx.attack_metrics(
-            scenario, trigger, plan, injection_rate, plan.frame_indices
-        )
-        rows.append((label, metrics.asr))
-    return AblationResult(rows=rows)
+        for _, optimal_frames, optimal_position, concealed in ABLATION_CONFIGURATIONS
+    ])
+    return AblationResult(rows=[
+        (configuration[0], point.asr)
+        for configuration, point in zip(ABLATION_CONFIGURATIONS, metrics)
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -735,8 +830,8 @@ def run_defenses(ctx: ExperimentContext) -> DefenseResult:
     report = detector.evaluate(ctx.clean_test, triggered_test)
 
     # --- augmentation: ASR with vs without hardening.
-    baseline = ctx.attack_metrics(
-        scenario, trigger, plan, 0.4, plan.frame_indices, repetitions=1
+    (baseline,) = ctx.attack_metrics(
+        [AttackPoint(scenario, trigger, 0.4)], repetitions=1
     )
     poisoned = ctx.poisoned_samples(scenario, trigger, plan, 0.4, plan.frame_indices)
     rng = np.random.default_rng(ctx.seed + 31)

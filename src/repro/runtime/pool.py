@@ -1,9 +1,9 @@
 """Supervised process-pool executor for independent work units.
 
 Simulator campaigns fan out into thousands of embarrassingly-parallel
-tasks (dataset samples, placement candidates, whole experiments).  This
-module runs them across worker processes with the robustness semantics the
-rest of the pipeline already guarantees in-process:
+tasks (dataset samples, the victim fits of a sweep, whole experiments).
+This module runs them across worker processes with the robustness
+semantics the rest of the pipeline already guarantees in-process:
 
 * **Crash isolation** — each worker is its own process; a segfault or
   ``os._exit`` kills that worker only.  The supervisor detects the death,
@@ -29,11 +29,19 @@ derive per-task seeds via :func:`derive_task_seed` so results are
 bit-identical no matter how tasks land on workers; assembly is by task
 index, not completion order.
 
-Telemetry (parent-side): a ``pool.attempt`` span per dispatched attempt
-and counters ``pool.tasks_completed``, ``pool.tasks_failed``,
+Telemetry: the parent records a ``pool.attempt`` span per dispatched
+attempt and counters ``pool.tasks_completed``, ``pool.tasks_failed``,
 ``pool.retries``, ``pool.timeouts``, ``pool.worker_deaths``,
-``pool.degraded``.  Worker-side spans/metrics stay in the worker process
-(cross-process aggregation is a future PR).
+``pool.degraded``.  Work done in a worker comes home with its outcome: a
+worker starts from empty telemetry (it forgets what it inherited at
+fork), and each outcome it sends carries the spans it finished and its
+metrics snapshot since the last one.  The parent merges the metrics with
+:meth:`~repro.runtime.telemetry.MetricsRegistry.merge_snapshot` and
+records the spans with the worker's pid as their thread, so a run record
+or Chrome trace shows the workers' ``simulate.*`` or ``train.*`` spans
+beside its own.  An attempt whose worker dies loses its telemetry.
+Tasks that run in-process (``workers <= 1``, degradation) count
+directly, once.
 """
 
 from __future__ import annotations
@@ -142,7 +150,12 @@ class _Attempt:
 
 
 def _worker_main(conn) -> None:
-    """Worker loop: recv task, run it, send outcome; ``None`` stops."""
+    """Worker loop: recv task, run it, send outcome; ``None`` stops.
+
+    Each outcome ends with the spans and metrics the task produced.
+    """
+    tel = telemetry()
+    tel.clear_inherited()
     while True:
         try:
             item = conn.recv()
@@ -167,16 +180,25 @@ def _worker_main(conn) -> None:
                 traceback.format_exc(),
             )
         elapsed = time.perf_counter() - start
+        spans, snapshot = tel.drain()
         try:
-            conn.send((*outcome, elapsed))
+            conn.send((*outcome, elapsed, spans, snapshot))
         except (EOFError, OSError, BrokenPipeError):
             break
         except Exception as exc:  # unpicklable return value
             conn.send(
                 (index, number, False, None,
                  f"unserializable task result ({type(exc).__name__}: {exc})",
-                 "", elapsed)
+                 "", elapsed, [], snapshot)
             )
+
+
+def _absorb(spans: "list[tuple]", snapshot: "dict[str, dict]", pid: int) -> None:
+    """Fold a worker's spans and metrics into this process's telemetry."""
+    metrics().merge_snapshot(snapshot)
+    tel = telemetry()
+    for name, start_ns, end_ns, attributes in spans:
+        tel.record_span(name, start_ns, end_ns, thread_id=pid, **attributes)
 
 
 class _Worker:
@@ -406,7 +428,8 @@ class WorkerPool:
                 message = conn.recv()
             except (EOFError, OSError):
                 continue  # worker death; reaped next cycle
-            index, number, ok, value, error, trace, elapsed = message
+            index, number, ok, value, error, trace, elapsed, spans, snapshot = message
+            _absorb(spans, snapshot, worker.child.process.pid)
             attempt = worker.current
             now = time.monotonic()
             if attempt is None or attempt.index != index:

@@ -474,21 +474,61 @@ class Telemetry:
                 self._finished.append(span)
 
     def record_span(
-        self, name: str, start_ns: int, end_ns: int, **attributes
+        self,
+        name: str,
+        start_ns: int,
+        end_ns: int,
+        /,
+        *,
+        thread_id: "int | None" = None,
+        **attributes,
     ) -> None:
         """Record an externally-timed span without touching the stack.
 
         Used for concurrent regions (e.g. one pool task attempt per
         worker) whose lifetimes overlap and therefore cannot nest through
-        the thread-local context-manager stack.
+        the thread-local context-manager stack, and for the spans a pool
+        worker sends home (``thread_id`` is then the worker's pid, its
+        thread in the Chrome trace).
         """
         if not self.enabled:
             return
         span = Span(name, dict(attributes), self)
         span.start_ns = int(start_ns)
         span.end_ns = int(end_ns)
-        span.thread_id = threading.get_ident()
+        span.thread_id = threading.get_ident() if thread_id is None else thread_id
         self._record(span)
+
+    # -- forked children -----------------------------------------------
+    def clear_inherited(self) -> None:
+        """Forget the spans, span stacks and metrics inherited at fork.
+
+        A forked pool worker calls this first, so what it later sends home
+        is its own work only.  The locks are new too: a parent thread may
+        have held one when the fork happened.
+        """
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._finished = []
+        self.metrics = MetricsRegistry()
+
+    def drain(self) -> "tuple[list[tuple], dict[str, dict]]":
+        """Take the finished spans and the metrics, leaving both empty.
+
+        Spans come out as picklable ``(name, start_ns, end_ns,
+        attributes)`` tuples and metrics as a :meth:`MetricsRegistry.snapshot`:
+        what a pool worker sends home with each task outcome.  Both start
+        from empty afterwards, so no span or count is sent twice.
+        """
+        with self._lock:
+            finished, self._finished = self._finished, []
+        snapshot = self.metrics.snapshot()
+        self.metrics.reset()
+        spans = [
+            (span.name, span.start_ns, span.end_ns, span.attributes)
+            for span in finished
+        ]
+        return spans, snapshot
 
     # -- control -------------------------------------------------------
     def enable(self) -> None:

@@ -30,6 +30,7 @@ import numpy as np
 from ..runtime.errors import ReproError
 from ..runtime.logging import get_logger
 from ..runtime.records import RunRecord, write_run_record
+from ..runtime.threads import usable_cores
 from .client import fetch_json, run_load
 from .engine import EngineConfig
 from .http import ServerConfig, build_server
@@ -158,8 +159,10 @@ def run_publish(args: argparse.Namespace, log) -> int:
         overrides["epochs"] = args.epochs
     if overrides:
         preset = preset.scaled(**overrides)
+    # The training set's samples spread over this process's cores.
     context = ExperimentContext(
-        preset, seed=args.seed, use_disk_cache=not args.no_cache
+        preset, seed=args.seed, use_disk_cache=not args.no_cache,
+        workers=usable_cores(),
     )
     log.info(
         "training publishable model preset=%s seed=%d samples_per_class=%d",

@@ -333,7 +333,7 @@ class InferenceEngine:
         deadline_ns = None
         timeout_s = DEFAULT_TIMEOUT_S
         if deadline_s is not None:
-            if deadline_s <= 0.0:
+            if not deadline_s > 0.0:  # NaN included
                 raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
             timeout_s = deadline_s
             deadline_ns = time.perf_counter_ns() + int(deadline_s * 1e9)

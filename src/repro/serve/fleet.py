@@ -210,7 +210,7 @@ def _check_sequence(
         )
     if not np.isfinite(sequence).all():
         raise ValueError("sequence contains non-finite values")
-    if deadline_s is not None and deadline_s <= 0.0:
+    if deadline_s is not None and not deadline_s > 0.0:  # NaN included
         raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
 
 

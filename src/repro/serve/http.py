@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -203,6 +204,8 @@ def _error_payload(exc: Exception) -> "tuple[int, dict]":
 
 #: The fields a predict body may carry.
 _PREDICT_FIELDS = frozenset({"sequence", "model", "screen", "deadline_ms"})
+#: The longest deadline a wait can hold: ``threading.TIMEOUT_MAX`` s.
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
 #: A body that opens with its ``sequence`` array, JSON whitespace allowed.
 _SEQUENCE_FIRST = re.compile(rb'[ \t\n\r]*\{[ \t\n\r]*"sequence"[ \t\n\r]*:[ \t\n\r]*\[')
 
@@ -216,7 +219,9 @@ def parse_predict_body(raw: bytes) -> dict:
     """
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # Bytes that are not UTF-8, or arrays nested past the
+        # interpreter's recursion limit, are malformed bodies too.
         raise ValueError(f"invalid JSON body: {exc}")
     if not isinstance(payload, dict) or "sequence" not in payload:
         raise ValueError('body must be an object with a "sequence" key')
@@ -238,8 +243,17 @@ def _envelope(payload: dict) -> dict:
     deadline_ms = payload.get("deadline_ms")
     deadline_s = None
     if deadline_ms is not None:
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+        # ``bool`` is an ``int``; ``not > 0`` also refuses NaN.
+        if (
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not deadline_ms > 0
+        ):
             raise ValueError("deadline_ms must be a positive number")
+        if not deadline_ms <= _MAX_DEADLINE_MS:
+            raise ValueError(
+                f"deadline_ms must be at most {_MAX_DEADLINE_MS:.0f}"
+            )
         deadline_s = float(deadline_ms) / 1e3
     model = payload.get("model", "latest")
     if not isinstance(model, str):

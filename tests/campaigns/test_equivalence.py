@@ -78,6 +78,52 @@ def test_serial_campaign_cells_do_not_share_state(tmp_path, monkeypatch):
     assert swept["fig9"] == alone["fig9"]
 
 
+def test_serial_cells_pool_their_work_with_unchanged_metrics(tmp_path, monkeypatch):
+    """A serial campaign's cell spreads its dataset samples and victim
+    fits over a pool as wide as the usable cores; fig8, fig9 and table1
+    record the metrics the same experiments give in-process."""
+    from repro.campaigns import runner as runner_module
+    from repro.campaigns.runner import run_experiment
+    from repro.datasets import generation
+    from repro.eval import experiments
+    from repro.runtime.pool import run_tasks
+
+    from ..test_cli import _micro_preset
+
+    monkeypatch.setattr(
+        config_module, "preset_by_name", lambda name: _micro_preset()
+    )
+    monkeypatch.setattr(runner_module, "usable_cores", lambda: 2)
+    widths = {"samples": [], "fits": []}
+
+    def spy(kind):
+        def run(tasks, config=None, on_result=None):
+            widths[kind].append(config.workers)
+            return run_tasks(tasks, config, on_result)
+
+        return run
+
+    monkeypatch.setattr(generation, "run_tasks", spy("samples"))
+    monkeypatch.setattr(experiments, "run_tasks", spy("fits"))
+    names = ["fig8", "fig9", "table1"]
+    config = parse_campaign({
+        "campaign": "pooled", "preset": "fast", "seeds": [0],
+        "axes": {"experiment": names},
+    })
+    outcome = CampaignRunner(
+        config, runs_dir=tmp_path, journal_path=tmp_path / "pooled.jsonl",
+    ).run()
+    assert outcome.all_ok
+    assert widths["samples"] and set(widths["samples"]) == {2}
+    assert widths["fits"] and set(widths["fits"]) == {2}
+    for result in outcome.results:
+        alone = run_experiment(
+            result.experiment, _micro_preset(), 0, use_disk_cache=False,
+            workers=1,
+        )
+        assert result.metrics == cell_payload(alone)["metrics"]
+
+
 def test_all_toml_sweeps_every_experiment():
     config = load_campaign(EXAMPLES / "all.toml")
     assert dict(config.axes)["experiment"] == tuple(EXPERIMENTS)

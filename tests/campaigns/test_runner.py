@@ -240,3 +240,21 @@ def test_cell_payload_passthrough_and_unknown():
     assert cell_payload(shaped) == shaped
     with pytest.raises(TypeError):
         cell_payload(object())
+
+
+def _stub_width(context):
+    return {"metrics": {"workers": context.workers}}
+
+
+@pytest.mark.parametrize(("workers", "cell_width"), [(1, 3), (2, 1)])
+def test_only_serial_cells_take_the_cores(tmp_path, monkeypatch, workers, cell_width):
+    """A serial campaign's cell runs in this process and gets a pool as
+    wide as the usable cores; a pooled campaign's cells run inside its
+    workers and never start a pool of their own."""
+    monkeypatch.setitem(
+        runner_module.EXPERIMENTS, "sec6d", Experiment("stub", _stub_width)
+    )
+    monkeypatch.setattr(runner_module, "usable_cores", lambda: 3)
+    outcome = CampaignRunner(_config(), runs_dir=tmp_path, workers=workers).run()
+    assert outcome.all_ok
+    assert [r.metrics["workers"] for r in outcome.results] == [cell_width] * 2

@@ -91,3 +91,21 @@ def test_run_simulator_throughput(ctx):
     assert result.seconds_per_activity > 0.0
     assert result.seconds_per_pair_activity < result.seconds_per_activity
     assert result.num_frames == MICRO_PRESET.num_frames
+
+
+def _diverging_fit(*args):
+    raise FloatingPointError("loss diverged")
+
+
+def test_a_failed_victim_fit_raises_at_any_width(monkeypatch):
+    """In-process, a fit's own exception propagates; over a pool, a fit
+    that fails after its retries fails the sweep with the first error."""
+    from repro.eval import experiments
+    from repro.runtime.errors import ReproError
+
+    monkeypatch.setattr(experiments, "_fit_and_score", _diverging_fit)
+    fits = [("args",), ("args",)]
+    with pytest.raises(FloatingPointError, match="loss diverged"):
+        experiments._fit_all(fits, width=1)
+    with pytest.raises(ReproError, match="2/2 victim fits failed.*loss diverged"):
+        experiments._fit_all(fits, width=2)

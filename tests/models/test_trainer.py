@@ -119,3 +119,42 @@ def test_best_weights_restored(trained):
     val_loss, _ = trainer.evaluate(model, x, y)
     assert np.isfinite(val_loss)
     assert history.best_epoch <= history.num_epochs - 1
+
+
+def _fit_state_bytes(config, x, y) -> "dict[str, bytes]":
+    model = CNNLSTMClassifier(config, np.random.default_rng(5))
+    Trainer(TrainingConfig(epochs=2, batch_size=8, seed=3)).fit(model, x, y)
+    return {name: value.tobytes() for name, value in model.state_dict().items()}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ModelConfig(
+            frame_shape=(16, 16), num_classes=3, conv_channels=(4, 8),
+            feature_dim=12, lstm_hidden=16, dropout=0.0,
+        ),
+        # The attack cell's model, whose GEMMs are large enough to thread.
+        ModelConfig(frame_shape=(32, 32)),
+    ],
+    ids=["micro", "fast"],
+)
+def test_a_fit_is_the_same_at_any_blas_thread_count(config):
+    """Fits leave the process that would run them on two BLAS threads for
+    pool workers that run one, so the bytes must not depend on the count."""
+    from repro.runtime.threads import blas_threads, set_blas_threads
+
+    before = blas_threads()
+    if before is None:
+        pytest.skip("NumPy's BLAS thread count cannot be set")
+    rng = np.random.default_rng(0)
+    x = rng.random((24, 8, *config.frame_shape)).astype(np.float32)
+    y = rng.integers(0, config.num_classes, 24)
+    try:
+        fits = []
+        for count in (1, 2):
+            set_blas_threads(count)
+            fits.append(_fit_state_bytes(config, x, y))
+    finally:
+        set_blas_threads(before)
+    assert fits[0] == fits[1]

@@ -4,6 +4,7 @@ import gc
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
@@ -234,6 +235,49 @@ class TestTelemetry:
         finally:
             tel.disable()
         assert aggregate["pool.attempt"]["count"] == 3
+
+    @staticmethod
+    def _run_traced(workers):
+        tel = telemetry()
+        tel.enable()
+        # Spans and counts the parent has before the pool starts are
+        # inherited at fork; a worker must not send them home again.
+        with tel.span("before.pool"):
+            metrics().counter("task.runs").inc(100)
+        try:
+            tasks = [PoolTask(key=f"t{i}", fn=_traced_task, args=(i,)) for i in range(6)]
+            results = run_tasks(tasks, PoolConfig(workers=workers, retry=FAST_RETRY))
+        finally:
+            tel.disable()
+        return tel.finished_spans(), [result.value for result in results]
+
+    def test_worker_spans_and_metrics_come_home(self):
+        spans, pids = self._run_traced(workers=2)
+        assert os.getpid() not in pids
+        work = [span for span in spans if span.name == "task.work"]
+        assert sorted(span.attributes["index"] for span in work) == list(range(6))
+        # Each span sits on the thread of the worker that ran it.
+        assert [span.thread_id for span in sorted(
+            work, key=lambda span: span.attributes["index"]
+        )] == pids
+        assert threading.get_ident() not in {span.thread_id for span in work}
+        assert [span.name for span in spans].count("before.pool") == 1
+        assert metrics().counter("task.runs").value == 100 + 6
+        assert metrics().histogram("task.size").count == 6
+
+    def test_in_process_tasks_count_once(self):
+        spans, pids = self._run_traced(workers=1)
+        assert set(pids) == {os.getpid()}
+        assert [span.name for span in spans].count("task.work") == 6
+        assert metrics().counter("task.runs").value == 100 + 6
+        assert metrics().histogram("task.size").count == 6
+
+
+def _traced_task(index):
+    with telemetry().span("task.work", index=index):
+        metrics().counter("task.runs").inc()
+        metrics().histogram("task.size").observe(float(index))
+    return os.getpid()
 
 
 def _report_pid_then_sleep(path):

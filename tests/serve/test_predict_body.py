@@ -4,7 +4,9 @@ counts, and every error reply of a 2-replica fleet, pinned.
 Each pinned case's status and JSON body were recorded from a front door
 that decoded every body itself; a front door that hands a sequence's
 decode to the serving replica must answer every case byte for byte the
-same.  ``{model_id}`` in a pinned message stands for the published
+same.  Two rows were changed on purpose since: a body that is not UTF-8
+and one nested past the recursion limit are malformed JSON, so both now
+answer ``invalid JSON body: ...`` (the nested one was a 500).  ``{model_id}`` in a pinned message stands for the published
 model's id.  The double faults pair a malformed body with a refusal the
 fleet checks after the decode: the decode's 400 must still come first.
 """
@@ -151,8 +153,8 @@ EXPECTED = {
     "whitespace around the envelope": (400, "ValidationError", "sequence is not a numeric array: {ragged}"),
     "compact separators": (400, "ValidationError", "sequence is not a numeric array: {ragged}"),
     "whitespace inside the sequence": (400, "ValidationError", "sequence is not a numeric array: {ragged}"),
-    "invalid UTF-8 inside the sequence": (400, "ValidationError", "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
-    "deeply nested sequence": (500, "InternalError", "RecursionError('maximum recursion depth exceeded while decoding a JSON array from a unicode string')"),
+    "invalid UTF-8 inside the sequence": (400, "ValidationError", "invalid JSON body: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"),
+    "deeply nested sequence": (400, "ValidationError", "invalid JSON body: maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
     "ragged sequence, unknown model": (400, "ValidationError", "sequence is not a numeric array: {ragged}"),
     "ragged sequence, deadline_ms too large to wait": (400, "ValidationError", "sequence is not a numeric array: {ragged}"),
     "NaN sequence, unknown model": (404, "ModelNotFoundError", "unknown model reference 'm-000000000000'"),
@@ -481,6 +483,48 @@ def test_a_long_body_is_decoded_in_the_front_door(
     assert status == 200, reply
     assert front_door_decodes == [wrong_shape, indented]
     assert metrics().counter("fleet.replica_deaths").value == deaths
+
+
+def test_a_shipped_nested_body_gets_its_400_and_kills_no_replica(
+    fleet_server, front_door_decodes
+):
+    """A replica that decodes an array nested past the recursion limit
+    fails it as malformed JSON, the client gets a 400, and the replica
+    keeps serving."""
+    fleet = fleet_server.engine
+    deaths = metrics().counter("fleet.replica_deaths").value
+    pids = sorted(slot.replica.pid for slot in fleet._slots)
+    nested = b'{"sequence": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    # Plainly shaped and short: the front door ships it whole.
+    assert split_predict_body(nested) is not None
+    assert len(nested) <= fleet_module.SHIPPED_BYTES_PER_VALUE * GOOD.size
+    status, reply = post(fleet_server, nested)
+    assert status == 400, reply
+    assert json.loads(reply)["error"]["message"].startswith("invalid JSON body: ")
+    # The fleet decodes a shipped body itself only once its replica has
+    # failed it, to give the reply a decoding front door would.
+    assert front_door_decodes == [nested]
+    status, reply = post(fleet_server, _predict_body(GOOD))
+    assert status == 200, reply
+    assert metrics().counter("fleet.replica_deaths").value == deaths
+    assert sorted(slot.replica.pid for slot in fleet._slots) == pids
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("deadline", ["NaN", "Infinity", "1e300", "true"])
+def test_a_deadline_no_wait_can_hold_is_a_400(
+    request, deadline, replicas
+):
+    """``deadline_ms`` must be a finite number, not a boolean, that a
+    wait can hold; anything else is refused before it is admitted."""
+    server = request.getfixturevalue(
+        "live_server" if replicas == 1 else "fleet_server"
+    )
+    body = _predict_body(GOOD)[:-1] + f', "deadline_ms": {deadline}}}'.encode()
+    status, reply = post(server, body)
+    assert status == 400, reply
+    assert json.loads(reply)["error"]["message"].startswith("deadline_ms must be")
+    assert server.engine.queue_depth() == 0
 
 
 def _latency_count() -> int:

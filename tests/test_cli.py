@@ -201,3 +201,18 @@ def test_single_experiment_success_exits_zero(stub_experiments, capsys):
 def test_verbosity_flags_parse(stub_experiments):
     assert main(["-v", "run", "stub1"]) == 0
     assert main(["-q", "run", "stub1"]) == 0
+
+
+def test_run_spreads_over_the_usable_cores(monkeypatch, capsys):
+    """`repro run` gives its context a pool as wide as the usable cores;
+    there is no flag for it, since the output is the same at any width."""
+    import repro.cli as cli
+
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    monkeypatch.setitem(EXPERIMENTS, "stub", Experiment(
+        "width", lambda ctx: f"workers={ctx.workers}"
+    ))
+    assert main(["run", "stub"]) == 0
+    assert "workers=3" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "fig7", "--workers", "2"])
