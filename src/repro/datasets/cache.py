@@ -7,7 +7,11 @@ the cache defends itself:
 
 * **Atomic writes** — archives are written to a temp file in the cache
   directory and ``os.replace``d into place, so an interrupted run can
-  never leave a truncated ``.npz`` at the final path.
+  never leave a truncated ``.npz`` at the final path.  Members are
+  stored, not deflated: deflating a FAST dataset took over ten times as
+  long as writing it, on an experiment's critical path, to halve its
+  size.  :func:`load_dataset` reads both layouts, so archives deflated
+  by earlier versions keep loading.
 * **Schema version + checksum** — every archive embeds a header with
   :data:`CACHE_SCHEMA_VERSION` and a SHA-256 digest of the payload;
   :func:`load_dataset` rejects stale versions and bit rot as
@@ -64,9 +68,9 @@ _META_FIELDS = (
 def _normalize_archive_path(path: "str | os.PathLike") -> Path:
     """Canonical archive path with the ``.npz`` suffix always present.
 
-    ``np.savez_compressed`` silently appends ``.npz`` to suffix-less
-    paths, which used to desync ``save_dataset``/``load_dataset`` pairs;
-    normalizing both ends keeps them pointed at the same file.
+    ``np.savez`` silently appends ``.npz`` to suffix-less paths, which
+    used to desync ``save_dataset``/``load_dataset`` pairs; normalizing
+    both ends keeps them pointed at the same file.
     """
     path = Path(path)
     if path.suffix != ".npz":
@@ -108,7 +112,7 @@ def save_dataset(dataset: HeatmapDataset, path: "str | os.PathLike") -> Path:
     try:
         with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), FILE_MODE)
-            np.savez_compressed(
+            np.savez(
                 handle,
                 x=dataset.x,
                 y=dataset.y,
@@ -154,7 +158,7 @@ def load_dataset(path: "str | os.PathLike") -> HeatmapDataset:
         raise
     except (
         zipfile.BadZipFile,
-        zlib.error,  # flipped bytes inside a member's deflate stream
+        zlib.error,  # flipped bytes inside a deflated member's stream
         struct.error,  # mangled npy header fields
         OSError,
         ValueError,

@@ -58,13 +58,16 @@ class FrameEncoder(Module):
         self.config = config
         c1, c2 = config.conv_channels
         h, w = config.frame_shape
+        # Pool before ReLU: max commutes with ReLU, so the ReLU runs on a
+        # quarter of the values with equal outputs.  The convs stay at
+        # indices 0 and 3, where state-dict keys expect them.
         self.body = Sequential(
             Conv2d(1, c1, 3, rng, padding=1),
-            ReLU(),
             MaxPool2d(2),
+            ReLU(),
             Conv2d(c1, c2, 3, rng, padding=1),
-            ReLU(),
             MaxPool2d(2),
+            ReLU(),
             Flatten(),
         )
         self.projection = Linear(c2 * (h // 4) * (w // 4), config.feature_dim, rng)

@@ -82,7 +82,7 @@ def conv2d(
     w_mat = weight.data.reshape(f, -1)
     out_data = np.matmul(w_mat, cols).reshape(n, f, out_h, out_w)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+        out_data += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 

@@ -103,10 +103,17 @@ class Tensor:
     # Autodiff machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
+        # No backward writes into the gradient it receives, so an interior
+        # node keeps its first one as is (often a view of its child's) and
+        # adds a second out of place.  A leaf owns a copy: clip_grad_norm
+        # scales parameter gradients in place.
+        leaf = not self._parents
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-        else:
+            self.grad = grad.astype(self.data.dtype, copy=leaf)
+        elif leaf:
             self.grad += grad
+        else:
+            self.grad = (self.grad + grad).astype(self.data.dtype, copy=False)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor (defaults to d(self)/d(self) = 1)."""

@@ -61,6 +61,18 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 DEFAULT_TIMEOUT_S = 30.0
 
 
+def check_deadline(deadline_s: float) -> None:
+    """Raise ``ValueError`` unless ``deadline_s`` is positive and no
+    longer than a wait can hold (``threading.TIMEOUT_MAX`` s)."""
+    if not deadline_s > 0.0:  # NaN included
+        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+    if not deadline_s <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"deadline_s must be at most {threading.TIMEOUT_MAX:.0f}, "
+            f"got {deadline_s}"
+        )
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Micro-batching and admission-control knobs."""
@@ -333,8 +345,7 @@ class InferenceEngine:
         deadline_ns = None
         timeout_s = DEFAULT_TIMEOUT_S
         if deadline_s is not None:
-            if not deadline_s > 0.0:  # NaN included
-                raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+            check_deadline(deadline_s)
             timeout_s = deadline_s
             deadline_ns = time.perf_counter_ns() + int(deadline_s * 1e9)
         pending = _Pending(

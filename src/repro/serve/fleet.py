@@ -85,6 +85,7 @@ from .engine import (
     EngineConfig,
     InferenceEngine,
     Prediction,
+    check_deadline,
 )
 from .http import parse_predict_body
 from .registry import ModelRegistry
@@ -202,7 +203,8 @@ def _check_sequence(
     deadline_s: "float | None",
 ) -> None:
     """Raise ``ValueError`` unless ``sequence`` has ``model_id``'s input
-    shape ``expected`` and finite values, and ``deadline_s`` is positive."""
+    shape ``expected`` and finite values, and ``deadline_s`` is positive
+    and no longer than a wait can hold."""
     if sequence.shape != expected:
         raise ValueError(
             f"sequence shape {sequence.shape} does not match model "
@@ -210,8 +212,8 @@ def _check_sequence(
         )
     if not np.isfinite(sequence).all():
         raise ValueError("sequence contains non-finite values")
-    if deadline_s is not None and not deadline_s > 0.0:  # NaN included
-        raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
+    if deadline_s is not None:
+        check_deadline(deadline_s)
 
 
 # ----------------------------------------------------------------------
@@ -786,9 +788,8 @@ class ReplicaFleet:
                 completed = pending.event.wait(timeout_s + 0.25)
             elapsed = time.monotonic() - start
         finally:
-            # Also when the wait raises (a deadline too large for the
-            # clock): a stale entry would count against the replica's
-            # in-flight cap for good.
+            # Also when the wait raises: a stale entry would count
+            # against the replica's in-flight cap for good.
             with replica.lock:
                 replica.inflight.pop(req_id, None)
         if not completed:

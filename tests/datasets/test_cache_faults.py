@@ -4,6 +4,7 @@ raw ``zipfile.BadZipFile``."""
 
 import json
 import stat
+import zipfile
 import zlib
 
 import numpy as np
@@ -57,10 +58,19 @@ def test_load_rejects_corrupt_archives(tmp_path, mode):
     assert len(load_dataset(path)) == 6
 
 
+def _deflate_archive(path):
+    """Rewrite ``path``'s members deflated, as earlier versions wrote them."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **arrays)
+
+
 def test_load_rejects_corrupt_deflate_stream(tmp_path):
     """Bit rot inside a member's compressed stream raises ``zlib.error``
     (not ``BadZipFile``) when numpy decompresses the array — a distinct
-    corruption mode that once escaped as a raw crash."""
+    corruption mode that once escaped as a raw crash.  Archives are
+    stored now, but deflated ones written earlier still load."""
     rng = np.random.default_rng(0)
     # Tiled data yields a long real deflate stream (random = stored
     # blocks, zeros = a ~30-byte stream), so the flip below is guaranteed
@@ -74,6 +84,7 @@ def test_load_rejects_corrupt_deflate_stream(tmp_path):
         for _ in range(64)
     ]
     path = save_dataset(HeatmapDataset(x, np.arange(64) % 3, meta), tmp_path / "ds.npz")
+    _deflate_archive(path)
     data = bytearray(path.read_bytes())
     for offset in range(2000, 2064):
         data[offset] ^= 0xFF
@@ -81,6 +92,23 @@ def test_load_rejects_corrupt_deflate_stream(tmp_path):
     with pytest.raises(CacheCorruptionError) as excinfo:
         load_dataset(path)
     assert isinstance(excinfo.value.__cause__, zlib.error)
+
+
+def test_archives_are_stored_and_deflated_ones_still_load(tmp_path):
+    ds = make_dataset()
+    path = save_dataset(ds, tmp_path / "ds.npz")
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+    _deflate_archive(path)
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_DEFLATED
+        }
+    loaded = load_dataset(path)
+    assert np.array_equal(loaded.x, ds.x) and np.array_equal(loaded.y, ds.y)
+    assert loaded.meta == ds.meta
 
 
 def test_load_rejects_stale_schema_version(tmp_path):
@@ -186,7 +214,7 @@ def test_save_failure_leaves_no_partial_archive(tmp_path, monkeypatch):
         handle.write(b"partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(cache_module.np, "savez_compressed", exploding_savez)
+    monkeypatch.setattr(cache_module.np, "savez", exploding_savez)
     with pytest.raises(OSError, match="disk full"):
         save_dataset(make_dataset(), tmp_path / "ds.npz")
     assert list(tmp_path.iterdir()) == []  # no truncated archive, no temp file

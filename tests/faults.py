@@ -49,9 +49,10 @@ def corrupted_cache_file(path: "str | os.PathLike", mode: str = "truncate"):
         mutated = original[: max(4, len(original) // 8)]
     elif mode == "flip":
         data = bytearray(original)
-        # A wide band early in the archive lands inside a member's deflate
-        # stream (raising zlib.error on read), the corruption signature a
-        # 16-byte mid-file flip misses on realistically-sized archives.
+        # A wide band early in the archive lands inside a member's data:
+        # a stored member then fails its CRC-32 check (BadZipFile), a
+        # deflated one its deflate stream (zlib.error).  A 16-byte
+        # mid-file flip misses both on realistically-sized archives.
         start = min(2000, len(data) // 2)
         stop = min(start + 2048, len(data))
         for offset in range(start, max(stop, start + 1)):

@@ -2,18 +2,20 @@
 
 These are the einsum convolution (with its nine-strided-add col2im), the
 argmax max pool and the ``np.where`` ReLU that ``repro.nn`` shipped
-before its BLAS/strided-view kernels, and the per-step LSTM tape
+before its BLAS/strided-view kernels, the per-step LSTM tape
 (``LSTMCell.forward`` and ``initial_state``, unrolled by ``LSTM.forward``)
-that ``repro.nn.functional.lstm`` replaced.  They are kept verbatim so the
-oracle tests in ``test_kernel_oracles.py`` can pin the fast kernels to
-them; nothing under ``src/`` imports this module.
+that ``repro.nn.functional.lstm`` replaced, and (:func:`relu_before_pool`)
+the frame CNN's ReLU-then-pool layer order, which now pools first.  The
+kernels are kept verbatim so the oracle tests in ``test_kernel_oracles.py``
+can pin the fast kernels to them; nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import LSTMCell, Tensor
+from repro.nn import Conv2d, Flatten, LSTMCell, MaxPool2d, ReLU, Tensor
 
 
 def _im2col(
@@ -148,3 +150,16 @@ def lstm_per_step(cell: LSTMCell, x: Tensor) -> Tensor:
     for t in range(x.shape[1]):
         h, c = lstm_cell_step(cell, x[:, t, :], (h, c))
     return h
+
+
+def relu_before_pool(encoder) -> None:
+    """Reorder a ``FrameEncoder``'s body to Conv -> ReLU -> MaxPool, twice.
+
+    That is the order the body had before pooling moved ahead of the
+    ReLU.  Only parameter-free layers move, so the convs keep indices 0
+    and 3 and the encoder keeps its state-dict keys.
+    """
+    conv1, pool1, relu1, conv2, pool2, relu2, flatten = encoder.body.layers
+    kinds = [Conv2d, MaxPool2d, ReLU, Conv2d, MaxPool2d, ReLU, Flatten]
+    assert [type(layer) for layer in encoder.body.layers] == kinds
+    encoder.body.layers = [conv1, relu1, pool1, conv2, relu2, pool2, flatten]

@@ -5,16 +5,36 @@ held to a tolerance fixed from the dtype: ``CONV_RTOL`` times the
 largest reference magnitude.  ``max_pool2d`` and ReLU do no arithmetic
 beyond selecting values, so on finite inputs they must match their
 oracles bit for bit.  The fused LSTM keeps the per-step tape's operation
-order, so it too must match its oracle bit for bit.
+order, so it too must match its oracle bit for bit.  The frame CNN pools
+before its ReLUs; max commutes with ReLU, so training in either order
+gives equal values and, after the optimizer steps, equal bytes.
 """
 
 import numpy as np
 import pytest
 
+from repro.eval import FAST
 from repro.models import CNNLSTMClassifier, ModelConfig
-from repro.nn import LSTM, Tensor, conv2d, cross_entropy, functional, load_checkpoint, max_pool2d
+from repro.models.cnn_lstm import FrameEncoder
+from repro.nn import (
+    LSTM,
+    Adam,
+    Tensor,
+    clip_grad_norm,
+    conv2d,
+    cross_entropy,
+    functional,
+    load_checkpoint,
+    max_pool2d,
+)
 
-from .oracles import conv2d_einsum, lstm_per_step, max_pool2d_argmax, relu_where
+from .oracles import (
+    conv2d_einsum,
+    lstm_per_step,
+    max_pool2d_argmax,
+    relu_before_pool,
+    relu_where,
+)
 from .test_tensor import numerical_gradient
 
 CONV_RTOL = {np.float32: 1e-4, np.float64: 1e-10}
@@ -249,3 +269,116 @@ def test_parent_format_checkpoint_predicts_like_per_step_tape(tmp_path, per_step
     fused = model.predict_logits(x)
     per_step_lstm()
     assert _bit_identical(fused, model.predict_logits(x))
+
+
+# ----------------------------------------------------------------------
+# The frame CNN's layer order and gradient ownership
+# ----------------------------------------------------------------------
+#: The attack cell's classifier: FAST's 32x32 frames and dropout.
+CELL_CONFIG = FAST.model_config()
+CELL_TRAINING = FAST.training_config()
+
+
+def _train_steps(reorder=None, steps=3):
+    """Per-step loss, logits and parameter gradients of a few float32
+    training steps at the attack cell's shape, dropout on, and the final
+    state dict."""
+    model = CNNLSTMClassifier(CELL_CONFIG, np.random.default_rng(31))
+    if reorder is not None:
+        reorder(model.encoder)
+    model.train()
+    params = model.parameters()
+    optimizer = Adam(
+        params, lr=CELL_TRAINING.learning_rate, weight_decay=CELL_TRAINING.weight_decay
+    )
+    rng = np.random.default_rng(32)
+    batch, frames = CELL_TRAINING.batch_size, FAST.num_frames
+    record = []
+    for _ in range(steps):
+        x = rng.random((batch, frames, *CELL_CONFIG.frame_shape), dtype=np.float32)
+        labels = rng.integers(0, CELL_CONFIG.num_classes, size=batch)
+        logits = model(Tensor(x))
+        loss = cross_entropy(logits, labels)
+        optimizer.zero_grad()
+        loss.backward()
+        record += [loss.data, logits.data, *(param.grad.copy() for param in params)]
+        clip_grad_norm(params, CELL_TRAINING.clip_norm)
+        optimizer.step()
+    return record, model.state_dict()
+
+
+def test_pool_before_relu_trains_like_relu_before_pool():
+    pool_first, pool_first_state = _train_steps()
+    relu_first, relu_first_state = _train_steps(relu_before_pool)
+    assert len(pool_first) == 3 * (2 + len(CLASSIFIER_STATE_KEYS))
+    for got, ref in zip(pool_first, relu_first):
+        # Gradients may differ in the sign of a zero, nothing else.
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert list(pool_first_state) == CLASSIFIER_STATE_KEYS
+    for key in CLASSIFIER_STATE_KEYS:
+        assert _bit_identical(pool_first_state[key], relu_first_state[key])
+
+
+@pytest.fixture
+def read_only_interior_grads(monkeypatch):
+    """Store every interior node's gradient read-only, so a backward
+    that writes into the gradient it received raises."""
+    accumulate = Tensor._accumulate
+
+    def read_only(self, grad):
+        accumulate(self, grad)
+        if self._parents and isinstance(self.grad, np.ndarray):  # not a scalar
+            view = self.grad.view()
+            view.flags.writeable = False
+            self.grad = view
+
+    def use():
+        monkeypatch.setattr(Tensor, "_accumulate", read_only)
+
+    return use
+
+
+def test_parameter_gradients_own_their_memory(read_only_interior_grads):
+    """Leaves own a copy of their gradient, which ``clip_grad_norm``
+    scales in place; interior nodes keep theirs uncopied, and no
+    backward writes into the gradient it receives."""
+    model = CNNLSTMClassifier(CELL_CONFIG, np.random.default_rng(41))
+    rng = np.random.default_rng(42)
+    x = rng.random((4, FAST.num_frames, *CELL_CONFIG.frame_shape), dtype=np.float32)
+    cross_entropy(model(Tensor(x)), np.arange(4)).backward()
+    for param in model.parameters():
+        assert param.grad.flags.owndata and param.grad.flags.writeable
+
+    copied, copied_state = _train_steps(steps=2)
+    read_only_interior_grads()
+    shared, shared_state = _train_steps(steps=2)
+    for got, ref in zip(shared, copied):
+        assert _bit_identical(got, ref)
+    for key in CLASSIFIER_STATE_KEYS:
+        assert _bit_identical(shared_state[key], copied_state[key])
+
+    # An interior node that receives two gradients adds them out of place.
+    leaf = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    shared_node = leaf.reshape(6)
+    (shared_node * shared_node).sum().backward()
+    assert np.array_equal(leaf.grad, 2.0 * leaf.data)
+
+
+def test_pool_first_frame_encoder_matches_finite_differences():
+    config = ModelConfig(frame_shape=(8, 8), conv_channels=(2, 3), feature_dim=5)
+    rng = np.random.default_rng(51)
+    encoder = FrameEncoder(config, rng)
+    for param in encoder.parameters():
+        param.data = rng.normal(scale=0.5, size=param.shape)
+    frames = Tensor(rng.normal(size=(3, 8, 8)), requires_grad=True)
+    weights = rng.normal(size=(3, config.feature_dim))
+    leaves = [frames, *encoder.parameters()]
+    assert all(leaf.dtype == np.float64 for leaf in leaves)
+
+    def loss():
+        return float((encoder(Tensor(frames.data)).data * weights).sum())
+
+    (encoder(frames) * weights).sum().backward()
+    for leaf in leaves:
+        numeric = numerical_gradient(loss, leaf.data)
+        assert np.abs(numeric - leaf.grad).max() < 1e-7

@@ -24,6 +24,7 @@ from repro.runtime.errors import (
 from repro.runtime.telemetry import metrics
 from repro.runtime.threads import blas_threads, worker_blas_share
 from repro.serve import EngineConfig, FleetConfig, ModelRegistry, ReplicaFleet
+from repro.serve import fleet as fleet_module
 from repro.serve.fleet import (
     BREAKER_COOLDOWN_S,
     BREAKER_FAILURES,
@@ -271,12 +272,42 @@ def test_parent_side_validation_never_reaches_a_replica(fleet, micro_dataset):
         fleet.submit(micro_dataset.x[0], deadline_s=-1.0)
 
 
-def test_a_wait_that_raises_leaves_no_inflight_entry(fleet, micro_dataset):
-    """A deadline too large for the clock makes the wait raise; the
-    request must not count against its replica's in-flight cap."""
-    with pytest.raises(OverflowError):
-        fleet.submit(micro_dataset.x[0], deadline_s=1e297)
+class _RaisingEvent(threading.Event):
+    def wait(self, timeout=None):
+        raise OverflowError("wait failed on purpose")
+
+
+class _RaisingPending(fleet_module._FleetPending):
+    """A parked request whose wait raises whenever it is reached."""
+
+    def __init__(self):
+        super().__init__()
+        self.event = _RaisingEvent()
+
+
+def test_a_wait_that_raises_leaves_no_inflight_entry(
+    fleet, micro_dataset, monkeypatch
+):
+    """A request whose wait raises must not count against its replica's
+    in-flight cap."""
+    monkeypatch.setattr(fleet_module, "_FleetPending", _RaisingPending)
+    with pytest.raises(OverflowError, match="on purpose"):
+        fleet.submit(micro_dataset.x[0])
     assert fleet.queue_depth() == 0
+
+
+def test_a_deadline_longer_than_a_wait_can_hold_is_refused(
+    fleet, engine, micro_dataset
+):
+    """Both front ends refuse it up front, before anything is queued or
+    in flight; the longest deadline a wait can hold still serves."""
+    for server in (fleet, engine):
+        with pytest.raises(ValueError, match="deadline_s must be at most"):
+            server.submit(micro_dataset.x[0], deadline_s=1e297)
+        assert server.queue_depth() == 0
+        longest = server.submit(micro_dataset.x[0], deadline_s=threading.TIMEOUT_MAX)
+        assert longest.model_id
+        assert server.queue_depth() == 0
 
 
 def test_circuit_breaker_trips_and_half_opens(solo_fleet):
