@@ -307,29 +307,20 @@ def cell_payload(result: Any) -> "dict[str, dict]":
 
 
 def _campaign_cell_task(
-    experiment: str,
-    preset_name: str,
-    seed: int,
-    overrides: "tuple[tuple[str, object], ...]",
-    use_disk_cache: bool,
-    workers: int,
+    cell: CampaignCell, use_disk_cache: bool, workers: int
 ) -> dict:
-    """Pool-worker entry point: run one cell in a fresh context.
+    """Pool task: run one cell in a fresh context.
 
-    Module-level and picklable.  ``workers`` is the cell's own pool
-    width: 1 inside a pooled campaign's workers, so a pool never nests
-    in a pool.  The resolved preset (base preset + overrides) matches
-    :meth:`CampaignCell.resolved_preset`, so a cell is bit-identical to
-    the equivalent hand-written invocation.
+    ``workers`` is the cell's own pool width: 1 inside a pooled
+    campaign's workers, so a pool never nests in a pool.  The cell runs
+    at its :meth:`CampaignCell.resolved_preset` (base preset +
+    overrides), so it is bit-identical to the equivalent hand-written
+    invocation.
     """
-    cell = CampaignCell(
-        index=0, experiment=experiment, preset=preset_name, seed=seed,
-        overrides=overrides,
-    )
-    preset = cell.resolved_preset()
-    with span("campaign.cell", experiment=experiment, seed=seed):
+    with span("campaign.cell", experiment=cell.experiment, seed=cell.seed):
         result = run_experiment(
-            experiment, preset, seed, use_disk_cache, workers=workers
+            cell.experiment, cell.resolved_preset(), cell.seed, use_disk_cache,
+            workers=workers,
         )
     return cell_payload(result)
 
@@ -534,10 +525,7 @@ class CampaignRunner:
             PoolTask(
                 key=cell.key,
                 fn=_campaign_cell_task,
-                args=(
-                    cell.experiment, cell.preset, cell.seed,
-                    cell.overrides, self.config.use_disk_cache, cell_workers,
-                ),
+                args=(cell, self.config.use_disk_cache, cell_workers),
             )
             for cell in batch
         ]

@@ -210,9 +210,10 @@ class DashboardData:
         """Journal entries from line ``offset`` on, plus the next offset.
 
         Polling clients pass back ``next_offset`` to read only new lines.
-        A torn final line (sweep writer mid-append) is not consumed: it
-        stays before ``next_offset`` would pass it, i.e. we stop at the
-        first undecodable line so it is retried on the next poll.
+        A newline-terminated line that does not decode is skipped, as the
+        journal's own loader skips it.  An unterminated one that does not
+        decode (sweep writer mid-append) is not consumed: ``next_offset``
+        stops before it, so the next poll retries it.
         """
         if self.journal_path is None or not self.journal_path.is_file():
             return {"entries": [], "next_offset": offset, "exists": False}
@@ -222,15 +223,12 @@ class DashboardData:
             for index, line in enumerate(handle):
                 if index < offset:
                     continue
-                line = line.strip()
-                if not line:
-                    consumed = index + 1
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    break
-                entries.append(entry)
+                if line.strip():
+                    try:
+                        entries.append(json.loads(line))
+                    except ValueError:
+                        if not line.endswith("\n"):
+                            break
                 consumed = index + 1
         done = sum(1 for e in entries if e.get("status") == "done")
         failed = sum(1 for e in entries if e.get("status") == "failed")

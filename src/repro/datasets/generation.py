@@ -10,9 +10,10 @@ Dataset campaigns are *planned* before they are executed: the campaign
 seed first deterministically fixes every sample's position, participant,
 and per-sample RNG root (``SeedSequence((campaign_seed, task_index))``),
 and only then are samples synthesized — serially or fanned out across a
-:class:`~repro.runtime.pool.WorkerPool`.  Because each sample's random
-stream depends only on the plan (never on execution order or worker
-identity), parallel generation is bit-identical to serial.
+:class:`~repro.runtime.pool.WorkerPool` whose workers fork from the
+generator.  Because each sample's random stream depends only on the plan
+(never on execution order or worker identity), parallel generation is
+bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -114,8 +115,7 @@ class SampleTask:
 
     The plan fixes everything that used to be drawn incrementally from the
     generator's shared RNG — position, participant — plus the task index
-    that roots the sample's own random stream.  A ``SampleTask`` is
-    picklable, so it travels to pool workers unchanged.
+    that roots the sample's own random stream.
     """
 
     index: int
@@ -128,10 +128,7 @@ class SampleTask:
 
 
 def plan_dataset_tasks(
-    config: GenerationConfig,
-    campaign_seed: int,
-    samples_per_class: int,
-    activities: "tuple[str, ...]" = ACTIVITY_NAMES,
+    config: GenerationConfig, campaign_seed: int, samples_per_class: int
 ) -> "list[SampleTask]":
     """The deterministic task list of one dataset campaign.
 
@@ -148,7 +145,7 @@ def plan_dataset_tasks(
     )
     positions = [(d, a) for d in config.distances_m for a in config.angles_deg]
     tasks: "list[SampleTask]" = []
-    for activity in activities:
+    for activity in ACTIVITY_NAMES:
         label = activity_label(activity)
         order = plan_rng.permutation(
             len(positions) * max(1, -(-samples_per_class // len(positions)))
@@ -169,36 +166,6 @@ def plan_dataset_tasks(
                 )
             )
     return tasks
-
-
-#: Per-worker-process generator cache: workers rebuild the (expensive)
-#: environment facet set once, then reuse it for every task they run.
-_WORKER_GENERATORS: "dict[tuple, SampleGenerator]" = {}
-
-
-def _synthesize_sample_task(
-    config: GenerationConfig,
-    campaign_seed: int,
-    environment_seed: int,
-    task: SampleTask,
-    attachment_mesh: "TriangleMesh | None",
-) -> np.ndarray:
-    """Pool worker entry point: synthesize one planned sample.
-
-    Module-level (hence picklable) and deterministic in its arguments:
-    the worker-local generator contributes only the environment facets,
-    which depend solely on ``environment_seed``.
-    """
-    key = (repr(config), int(environment_seed))
-    generator = _WORKER_GENERATORS.get(key)
-    if generator is None:
-        generator = SampleGenerator(
-            config, seed=campaign_seed, environment_seed=environment_seed
-        )
-        _WORKER_GENERATORS[key] = generator
-    return generator.synthesize_planned_sample(
-        campaign_seed, task, attachment_mesh
-    ).astype(np.float32)
 
 
 class SampleGenerator:
@@ -391,10 +358,7 @@ class SampleGenerator:
     # Dataset synthesis
     # ------------------------------------------------------------------
     def synthesize_planned_sample(
-        self,
-        campaign_seed: int,
-        task: SampleTask,
-        attachment_mesh: TriangleMesh | None = None,
+        self, campaign_seed: int, task: SampleTask
     ) -> np.ndarray:
         """One planned sample, from its own derived random stream.
 
@@ -409,114 +373,56 @@ class SampleGenerator:
         self.rng = rng
         try:
             return self.generate_sample(
-                task.activity,
-                task.distance_m,
-                task.angle_deg,
-                stature=task.stature,
-                attachment_mesh=attachment_mesh,
+                task.activity, task.distance_m, task.angle_deg, stature=task.stature
             )
         finally:
             self.rng = original_rng
 
     def generate_dataset(
-        self,
-        samples_per_class: int,
-        activities: "tuple[str, ...]" = ACTIVITY_NAMES,
-        attachment_mesh: TriangleMesh | None = None,
-        attachment_name: str = "",
-        progress: bool = False,
-        workers: int = 1,
-        pool_config: "PoolConfig | None" = None,
+        self, samples_per_class: int, workers: int = 1
     ) -> HeatmapDataset:
         """A dataset cycling positions and participants per class.
 
         Positions follow the configured grid round-robin with random
         order, so every class covers all distances/angles/participants as
         in the prototype campaign.  ``workers > 1`` fans sample synthesis
-        out across a supervised process pool; the result is bit-identical
-        to the serial path because every sample draws from a per-task seed
-        derived from ``(campaign seed, task index)``.
+        out across a supervised process pool, whose workers fork holding
+        this generator; the result is bit-identical to the serial path
+        because every sample draws from a per-task seed derived from
+        ``(campaign seed, task index)``.
         """
-        if samples_per_class < 1:
-            raise ValueError("samples_per_class must be >= 1")
-        plan = plan_dataset_tasks(
-            self.config, self.seed, samples_per_class, activities
-        )
-        with span(
-            "dataset.generate",
-            samples_per_class=samples_per_class,
-            activities=len(activities),
-            workers=workers,
-        ):
-            if workers <= 1 and pool_config is None:
-                xs = self._synthesize_serial(plan, attachment_mesh, progress)
-            else:
-                xs = self._synthesize_pooled(
-                    plan, attachment_mesh, workers, pool_config
-                )
-        metas = [
-            SampleMeta(
-                activity=task.activity,
-                distance_m=task.distance_m,
-                angle_deg=task.angle_deg,
-                participant=task.participant,
-                has_trigger=attachment_mesh is not None,
-                trigger_attachment=attachment_name,
-            )
-            for task in plan
-        ]
-        labels = np.asarray([task.label for task in plan])
-        return HeatmapDataset(np.stack(xs), labels, metas)
-
-    def _synthesize_serial(
-        self,
-        plan: "list[SampleTask]",
-        attachment_mesh: "TriangleMesh | None",
-        progress: bool,
-    ) -> "list[np.ndarray]":
-        xs = []
-        done_per_activity = 0
-        for task in plan:
-            xs.append(
-                self.synthesize_planned_sample(
-                    self.seed, task, attachment_mesh
-                ).astype(np.float32)
-            )
-            done_per_activity += 1
-            next_task = plan[len(xs)] if len(xs) < len(plan) else None
-            if next_task is None or next_task.activity != task.activity:
-                if progress:  # pragma: no cover - console output
-                    print(f"generated {done_per_activity} x {task.activity}")
-                done_per_activity = 0
-        return xs
-
-    def _synthesize_pooled(
-        self,
-        plan: "list[SampleTask]",
-        attachment_mesh: "TriangleMesh | None",
-        workers: int,
-        pool_config: "PoolConfig | None",
-    ) -> "list[np.ndarray]":
-        config = pool_config or PoolConfig(workers=workers)
+        plan = plan_dataset_tasks(self.config, self.seed, samples_per_class)
         tasks = [
             PoolTask(
                 key=f"sample-{task.index:06d}",
-                fn=_synthesize_sample_task,
-                args=(
-                    self.config,
-                    self.seed,
-                    self.environment_seed,
-                    task,
-                    attachment_mesh,
-                ),
+                fn=self.synthesize_planned_sample,
+                args=(self.seed, task),
             )
             for task in plan
         ]
-        results = run_tasks(tasks, config)
+        with span(
+            "dataset.generate",
+            samples_per_class=samples_per_class,
+            activities=len(ACTIVITY_NAMES),
+            workers=workers,
+        ):
+            results = run_tasks(tasks, PoolConfig(workers=workers))
         failed = [result for result in results if not result.ok]
         if failed:
             raise SimulationError(
                 f"{len(failed)}/{len(tasks)} dataset samples failed after "
                 f"retries; first: {failed[0].key}: {failed[0].error}"
             )
-        return [result.value for result in results]
+        metas = [
+            SampleMeta(
+                activity=task.activity,
+                distance_m=task.distance_m,
+                angle_deg=task.angle_deg,
+                participant=task.participant,
+            )
+            for task in plan
+        ]
+        labels = np.asarray([task.label for task in plan])
+        return HeatmapDataset(
+            np.stack([result.value for result in results]), labels, metas
+        )

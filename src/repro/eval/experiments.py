@@ -130,10 +130,7 @@ def _fit_and_score(
     clean_test: HeatmapDataset,
     target_label: int,
 ) -> AttackMetrics:
-    """Fit one victim and score its backdoor: one fit of a sweep.
-
-    Module-level and picklable: a pool worker runs it as it is.
-    """
+    """Fit one victim and score its backdoor: one fit of a sweep."""
     model = _fit_victim(preset, clean_train, poisoned, seed)
     return evaluate_backdoored_model(model, triggered, clean_test, target_label)
 

@@ -8,9 +8,10 @@ simulation.
 
 Crash-safety model: a torn final line (the write that was interrupted) is
 detected by JSON parse failure and ignored — the unit it described simply
-re-runs.  Mid-file garbage is skipped with a warning.  The header line
-carries a campaign fingerprint (campaign name, config digest);
-resuming against a journal from a *different* campaign raises
+re-runs — and resuming cuts it off before the first append, so no new
+record is glued onto it.  Mid-file garbage is skipped with a warning.
+The header line carries a campaign fingerprint (campaign name, config
+digest); resuming against a journal from a *different* campaign raises
 :class:`~repro.runtime.errors.JournalMismatchError` instead of silently
 mixing incompatible results.
 """
@@ -91,6 +92,7 @@ class SweepJournal:
                     f"{_fingerprint_diff(recorded, campaign)}; "
                     f"journal has {recorded!r}, resume requested {campaign!r}",
                 )
+            journal._seal_tail()
             journal._handle = open(journal.path, "a")
             _log.info(
                 "resuming sweep journal path=%s completed=%d",
@@ -137,6 +139,27 @@ class SweepJournal:
         if not header:
             raise JournalError(self.path, "missing journal header line")
         return header
+
+    def _seal_tail(self) -> None:
+        """Make the next append start a line of its own.
+
+        An unterminated last line is a write cut short.  If it parses, it
+        is a whole record that only lost its newline: terminate it.  If
+        not, drop it; :meth:`_load` already ignored it.
+        """
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            if not data or data.endswith(b"\n"):
+                return
+            start = data.rfind(b"\n") + 1
+            try:
+                json.loads(data[start:])
+            except ValueError:
+                handle.truncate(start)
+            else:
+                handle.write(b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
 
     # ------------------------------------------------------------------
     # Recording

@@ -14,9 +14,12 @@ semantics the rest of the pipeline already guarantees in-process:
   :class:`TaskResult` entries, never sweep aborts.
 * **Deadlines** — a task running past its deadline gets its worker
   terminated and is charged a retry.
-* **Bounded in-flight state** — at most one task is dispatched per worker
-  (assignment is explicit, over per-worker pipes), so task payloads are
-  never bulk-serialized into an unbounded queue.
+* **Tasks come with the fork** — every worker, respawns included, forks
+  holding the whole task list, so a task's callable and arguments are
+  never pickled: any callable runs, and a dispatch sends only
+  ``(index, attempt)`` down the worker's own pipe, one task per worker at
+  a time.  Outcomes are pickled on the way home.  (Where there is no
+  fork, the spawn fallback pickles the list once per worker start.)
 * **Graceful degradation** — ``workers <= 1``, a failed pool start, or
   every worker dying falls back to the serial in-process path with the
   same retry semantics; the sweep always completes.
@@ -107,7 +110,7 @@ class PoolConfig:
 
 @dataclass(frozen=True)
 class PoolTask:
-    """One unit of work: a picklable callable plus its arguments.
+    """One unit of work: ``fn(*args)``.
 
     ``key`` is the stable identity used by journals and telemetry (e.g.
     the experiment name or ``sample-000123``); ``timeout_s`` overrides the
@@ -117,7 +120,6 @@ class PoolTask:
     key: str
     fn: Callable
     args: tuple = ()
-    kwargs: "dict[str, Any]" = field(default_factory=dict)
     timeout_s: "float | None" = None
 
 
@@ -149,8 +151,9 @@ class _Attempt:
         return (self.eligible_at, self.index) < (other.eligible_at, other.index)
 
 
-def _worker_main(conn) -> None:
-    """Worker loop: recv task, run it, send outcome; ``None`` stops.
+def _worker_main(conn, tasks: "list[PoolTask]") -> None:
+    """Worker loop: recv ``(index, attempt)``, run ``tasks[index]``, send
+    its outcome; ``None`` stops.
 
     Each outcome ends with the spans and metrics the task produced.
     """
@@ -163,10 +166,11 @@ def _worker_main(conn) -> None:
             break
         if item is None:
             break
-        index, number, fn, args, kwargs = item
+        index, number = item
+        task = tasks[index]
         start = time.perf_counter()
         try:
-            value = fn(*args, **kwargs)
+            value = task.fn(*task.args)
             outcome = (index, number, True, value, "", "")
         except KeyboardInterrupt:
             break
@@ -223,6 +227,7 @@ class WorkerPool:
 
     def __init__(self, config: "PoolConfig | None" = None):
         self.config = config or PoolConfig()
+        self._tasks: "list[PoolTask]" = []
         self._supervisor: "Supervisor | None" = None
         self._workers: "list[_Worker]" = []
         self._next_worker_id = 0
@@ -245,7 +250,7 @@ class WorkerPool:
     def _spawn_worker(self) -> "_Worker | None":
         try:
             child = self._supervisor.spawn(
-                _worker_main, (), f"repro-pool-{self._next_worker_id}"
+                _worker_main, (self._tasks,), f"repro-pool-{self._next_worker_id}"
             )
         except OSError as exc:
             _log.warning("worker spawn failed: %s", exc)
@@ -274,6 +279,7 @@ class WorkerPool:
             return self._run_serial(tasks, {}, on_result)
 
         results: "dict[int, TaskResult]" = {}
+        self._tasks = tasks  # every worker forks holding them
         try:
             self._start_workers()
         except PoolError as exc:
@@ -330,7 +336,7 @@ class WorkerPool:
             self._enforce_deadlines(tasks, pending, results, on_result, now)
             if not self._workers:
                 return  # degrade to serial in run()
-            self._dispatch(tasks, pending, results, on_result, now)
+            self._dispatch(tasks, pending, now)
             self._collect(tasks, pending, results, on_result)
 
     # -- supervision steps ---------------------------------------------
@@ -381,34 +387,21 @@ class WorkerPool:
             )
             self._respawn(now)
 
-    def _dispatch(self, tasks, pending, results, on_result, now) -> None:
+    def _dispatch(self, tasks, pending, now) -> None:
         for worker in self._workers:
             if worker.current is not None:
                 continue
             if not pending or pending[0].eligible_at > now:
                 break
             attempt = heapq.heappop(pending)
-            task = tasks[attempt.index]
             try:
-                worker.child.send(
-                    (attempt.index, attempt.number, task.fn, task.args, task.kwargs)
-                )
+                worker.child.send((attempt.index, attempt.number))
             except OSError:
                 # The worker's pipe is gone: it died between reaping cycles.
                 # Put the attempt back; the death is handled next cycle.
                 heapq.heappush(pending, attempt)
                 break
-            except Exception as exc:  # unpicklable task: deterministic, no retry
-                self._resolve(
-                    results,
-                    TaskResult(
-                        index=attempt.index, key=task.key, ok=False,
-                        error=f"unserializable task ({type(exc).__name__}: {exc})",
-                        attempts=attempt.number,
-                    ),
-                    on_result,
-                )
-                continue
+            task = tasks[attempt.index]
             timeout = task.timeout_s or self.config.task_timeout_s
             worker.current = attempt
             worker.started_at = now
@@ -528,7 +521,7 @@ class WorkerPool:
             while True:
                 attempts += 1
                 try:
-                    value = task.fn(*task.args, **task.kwargs)
+                    value = task.fn(*task.args)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:  # noqa: BLE001 - isolation boundary

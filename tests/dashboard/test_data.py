@@ -191,6 +191,19 @@ def test_journal_tail_stops_at_torn_line(populated):
     assert tail["next_offset"] == 2
 
 
+def test_journal_tail_skips_mid_file_garbage(populated):
+    with open(populated.journal_path, "a") as handle:
+        handle.write("not json at all\n")
+        handle.write(json.dumps({"key": "fig9", "status": "done"}) + "\n")
+    tail = populated.journal_tail()
+    assert [e["key"] for e in tail["entries"]] == ["fig7", "fig8", "fig9"]
+    assert tail["next_offset"] == 4
+    # A poll from past the first two entries also gets past the garbage.
+    again = populated.journal_tail(2)
+    assert [e["key"] for e in again["entries"]] == ["fig9"]
+    assert again["next_offset"] == 4
+
+
 def test_journal_tail_missing_file(tmp_path):
     data = DashboardData(journal_path=tmp_path / "absent.jsonl")
     tail = data.journal_tail()

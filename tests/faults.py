@@ -186,7 +186,7 @@ def _bump_shared_counter(path: "str | os.PathLike") -> int:
 
 @dataclass(frozen=True)
 class CrashingTask:
-    """Picklable pool task whose first ``crash_attempts`` calls kill the worker.
+    """Pool task whose first ``crash_attempts`` calls kill the worker.
 
     Each call bumps the shared counter; while it is ``<= crash_attempts``
     the process dies via ``os._exit`` (no exception, no cleanup — the
@@ -211,7 +211,7 @@ class CrashingTask:
 
 @dataclass(frozen=True)
 class HangingTask:
-    """Picklable pool task whose first ``hang_attempts`` calls hang.
+    """Pool task whose first ``hang_attempts`` calls hang.
 
     The hang (default 60 s) is meant to blow well past any test deadline,
     so the pool's deadline enforcement — kill the worker, requeue the
@@ -232,7 +232,7 @@ class HangingTask:
 
 @dataclass(frozen=True)
 class FlakyTask:
-    """Picklable pool task whose first ``fail_attempts`` calls raise.
+    """Pool task whose first ``fail_attempts`` calls raise.
 
     Unlike :class:`CrashingTask` the worker survives (the exception is
     shipped back over the pipe), exercising the in-worker retry path and

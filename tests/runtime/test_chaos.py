@@ -78,7 +78,7 @@ def _serial_campaign_with_busy_pool(config, journal, runs_dir, directory):
     """Child: a serial campaign whose one cell generates its training set
     on a two-worker pool, every sample of which hangs."""
     runner_module.usable_cores = lambda: 2
-    generation._synthesize_sample_task = functools.partial(
+    generation.SampleGenerator.synthesize_planned_sample = functools.partial(
         _report_pid_then_hang, directory
     )
     runner_module.EXPERIMENTS["pooled"] = Experiment(

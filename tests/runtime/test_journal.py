@@ -90,6 +90,40 @@ def test_torn_final_line_is_ignored(tmp_path):
         resumed.close()
 
 
+def test_records_after_a_torn_line_survive_the_next_resume(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    with SweepJournal.open(path, CAMPAIGN) as journal:
+        journal.record("a", "done")
+        journal.record("b", "done")
+    with open(path, "a") as handle:
+        handle.write('{"key": "c", "status": "do')
+    with SweepJournal.open(path, CAMPAIGN, resume=True) as journal:
+        journal.record("c", "done")
+        journal.record("d", "done")
+    resumed = SweepJournal.open(path, CAMPAIGN, resume=True)
+    try:
+        assert resumed.completed_keys() == {"a", "b", "c", "d"}
+    finally:
+        resumed.close()
+    assert all(json.loads(line) for line in path.read_text().splitlines())
+
+
+def test_an_unterminated_whole_record_is_kept(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    with SweepJournal.open(path, CAMPAIGN) as journal:
+        journal.record("a", "done")
+    with open(path, "a") as handle:
+        handle.write(json.dumps({"key": "b", "status": "done"}))  # no newline
+    with SweepJournal.open(path, CAMPAIGN, resume=True) as journal:
+        assert journal.completed_keys() == {"a", "b"}
+        journal.record("c", "done")
+    resumed = SweepJournal.open(path, CAMPAIGN, resume=True)
+    try:
+        assert resumed.completed_keys() == {"a", "b", "c"}
+    finally:
+        resumed.close()
+
+
 def test_mid_file_garbage_is_skipped(tmp_path):
     path = tmp_path / "sweep.jsonl"
     with SweepJournal.open(path, CAMPAIGN) as journal:

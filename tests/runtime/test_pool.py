@@ -19,6 +19,7 @@ from repro.runtime.pool import (
     derive_task_seed,
     run_tasks,
 )
+from repro.runtime.supervisor import Child
 from repro.runtime.telemetry import metrics, telemetry
 from repro.runtime.threads import blas_threads, worker_blas_share
 
@@ -51,6 +52,11 @@ def _pid_and_blas_threads():
 
 def _frozen_objects():
     return gc.get_freeze_count()
+
+
+def _pid_under(lock):
+    with lock:
+        return os.getpid()
 
 
 class TestDeriveTaskSeed:
@@ -124,6 +130,52 @@ class TestPoolBasics:
             PoolConfig(workers=0)
         with pytest.raises(ValueError):
             PoolConfig(task_timeout_s=0.0)
+
+
+class TestTasksComeWithTheFork:
+    def test_workers_are_sent_only_index_and_attempt(self, tmp_path, monkeypatch):
+        """Neither a task's callable nor its arguments cross the pipe,
+        however large: a worker forks holding the task list."""
+        sent = []
+        send = Child.send
+
+        def recording_send(child, message):
+            sent.append(message)
+            send(child, message)
+
+        monkeypatch.setattr(Child, "send", recording_send)
+        crash = CrashingTask(str(tmp_path / "counter"), crash_attempts=1)
+        tasks = [
+            PoolTask(key="crashy", fn=crash),
+            PoolTask(key="large", fn=np.sum, args=(np.ones(1 << 20),)),
+        ]
+        results = run_tasks(tasks, PoolConfig(workers=2, retry=FAST_RETRY))
+        assert [r.value for r in results] == ["survived", float(1 << 20)]
+        dispatched = [message for message in sent if message is not None]
+        assert sorted(dispatched) == [(0, 1), (0, 2), (1, 1)]
+
+    def test_tasks_that_cannot_pickle_run_in_the_workers(self):
+        tasks = [
+            PoolTask(key="lambda", fn=lambda: os.getpid()),
+            PoolTask(key="lock", fn=_pid_under, args=(threading.Lock(),)),
+        ]
+        results = run_tasks(tasks, PoolConfig(workers=2, retry=FAST_RETRY))
+        assert [r.error for r in results] == ["", ""]
+        assert os.getpid() not in {r.value for r in results}
+
+    def test_respawned_workers_hold_the_tasks_too(self, tmp_path):
+        """Both first attempts kill their workers, so both retries run in
+        workers forked after the deaths."""
+        crashes = [
+            CrashingTask(str(tmp_path / f"counter{i}"), crash_attempts=1)
+            for i in range(2)
+        ]
+        tasks = [
+            PoolTask(key=f"t{i}", fn=lambda crash=crash: crash())
+            for i, crash in enumerate(crashes)
+        ]
+        results = run_tasks(tasks, PoolConfig(workers=2, retry=FAST_RETRY))
+        assert [(r.value, r.attempts) for r in results] == [("survived", 2)] * 2
 
 
 class TestCrashIsolation:
