@@ -24,9 +24,15 @@ Subpackages
     Trigger detection and data-augmentation hardening (Section VII).
 ``repro.eval``
     Per-figure experiment runners, scale presets, and reporting.
+
+Importing the package keeps the heap this process frees mapped for its
+next allocation (:func:`repro.runtime.heap.keep_heap_mapped`).
 """
 
 from . import attack, datasets, defense, eval, geometry, models, nn, radar, xai
+from .runtime.heap import keep_heap_mapped
+
+keep_heap_mapped()
 
 __version__ = "1.0.0"
 

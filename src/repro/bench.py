@@ -18,6 +18,9 @@ and mean over its repeats, and comparisons should use the min (the least
 noise-contaminated measurement).  Every stage runs at one OpenBLAS
 thread: on a small host a multi-threaded BLAS contends with whatever
 else runs, which made the per-frame stages bimodal from run to run.
+``meta`` records that thread count and the heap thresholds the process
+runs with (:func:`~repro.runtime.heap.keep_heap_mapped`, ``null`` where
+they could not be set).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .radar.processing import (
     doppler_fft_sequence,
     range_fft_sequence,
 )
+from .runtime.heap import keep_heap_mapped
 from .runtime.logging import get_logger
 from .runtime.records import git_revision
 from .runtime.telemetry import telemetry, write_text_atomic
@@ -154,7 +158,7 @@ def run_bench() -> "dict[str, object]":
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "generated_utc": datetime.now(timezone.utc).isoformat(),
-        "meta": {**bench_meta(), "blas_threads": threads},
+        "meta": {**bench_meta(), "blas_threads": threads, "heap": keep_heap_mapped()},
         "preset": {"num_frames": _NUM_FRAMES, "repeats": _REPEATS},
         "machine": machine_info(),
         "stages": stages,

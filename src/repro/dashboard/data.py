@@ -17,6 +17,7 @@ import urllib.request
 from pathlib import Path
 
 from ..bench import load_bench_result
+from ..runtime.journal import parse_journal_line
 from ..runtime.logging import get_logger
 from ..runtime.records import default_runs_dir, list_run_records
 
@@ -210,10 +211,10 @@ class DashboardData:
         """Journal entries from line ``offset`` on, plus the next offset.
 
         Polling clients pass back ``next_offset`` to read only new lines.
-        A newline-terminated line that does not decode is skipped, as the
-        journal's own loader skips it.  An unterminated one that does not
-        decode (sweep writer mid-append) is not consumed: ``next_offset``
-        stops before it, so the next poll retries it.
+        A newline-terminated line that does not decode to an object is
+        skipped, as the journal's own loader skips it.  An unterminated
+        one that does not (sweep writer mid-append) is not consumed:
+        ``next_offset`` stops before it, so the next poll retries it.
         """
         if self.journal_path is None or not self.journal_path.is_file():
             return {"entries": [], "next_offset": offset, "exists": False}
@@ -225,7 +226,7 @@ class DashboardData:
                     continue
                 if line.strip():
                     try:
-                        entries.append(json.loads(line))
+                        entries.append(parse_journal_line(line))
                     except ValueError:
                         if not line.endswith("\n"):
                             break

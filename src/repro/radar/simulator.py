@@ -141,9 +141,12 @@ def _unit_phasor(arg_cycles: np.ndarray) -> np.ndarray:
     fractional cycle in float64 *before* dropping to float32 keeps phase
     error at ~1e-7 cycles where a naive float32 product would lose four
     digits.  The complex exponential itself — the expensive part — then
-    runs in single precision.
+    runs in single precision.  ``x - floor(x)`` equals
+    ``np.remainder(x, 1.0)`` bit for bit on every finite input, in about
+    a tenth of the time.
     """
-    phi = np.remainder(arg_cycles, 1.0).astype(np.float32)
+    whole = np.floor(arg_cycles)
+    phi = np.subtract(arg_cycles, whole, out=whole).astype(np.float32)
     phi *= np.float32(-2.0 * np.pi)
     # Separate float32 cos/sin into the real/imag planes of the output:
     # ~4x faster than numpy's complex exp, identical to 1e-7.

@@ -9,7 +9,8 @@ simulation.
 Crash-safety model: a torn final line (the write that was interrupted) is
 detected by JSON parse failure and ignored — the unit it described simply
 re-runs — and resuming cuts it off before the first append, so no new
-record is glued onto it.  Mid-file garbage is skipped with a warning.
+record is glued onto it.  Mid-file garbage (a line that does not parse,
+or parses to something other than an object) is skipped with a warning.
 The header line carries a campaign fingerprint (campaign name, config
 digest); resuming against a journal from a *different* campaign raises
 :class:`~repro.runtime.errors.JournalMismatchError` instead of silently
@@ -31,6 +32,18 @@ _log = get_logger("runtime.journal")
 
 #: Bump when the line format changes; mismatched journals refuse to resume.
 JOURNAL_VERSION = 1
+
+
+def parse_journal_line(line: "str | bytes") -> dict:
+    """One journal line as a JSON object; ``ValueError`` for anything else.
+
+    Every record is an object, so a line that is valid JSON but not an
+    object (``12``, ``[]``) is as corrupt as one that does not parse.
+    """
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"journal line is a JSON {type(record).__name__}, not an object")
+    return record
 
 
 def _fingerprint_diff(recorded: dict, requested: dict) -> str:
@@ -114,8 +127,8 @@ class SweepJournal:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = parse_journal_line(line)
+            except ValueError:
                 if lineno == len(lines) - 1:
                     _log.warning(
                         "ignoring torn final journal line path=%s", self.path
@@ -143,9 +156,9 @@ class SweepJournal:
     def _seal_tail(self) -> None:
         """Make the next append start a line of its own.
 
-        An unterminated last line is a write cut short.  If it parses, it
-        is a whole record that only lost its newline: terminate it.  If
-        not, drop it; :meth:`_load` already ignored it.
+        An unterminated last line is a write cut short.  If it parses to
+        an object, it is a whole record that only lost its newline:
+        terminate it.  If not, drop it; :meth:`_load` already ignored it.
         """
         with open(self.path, "rb+") as handle:
             data = handle.read()
@@ -153,7 +166,7 @@ class SweepJournal:
                 return
             start = data.rfind(b"\n") + 1
             try:
-                json.loads(data[start:])
+                parse_journal_line(data[start:])
             except ValueError:
                 handle.truncate(start)
             else:

@@ -20,9 +20,10 @@ semantics the rest of the pipeline already guarantees in-process:
   ``(index, attempt)`` down the worker's own pipe, one task per worker at
   a time.  Outcomes are pickled on the way home.  (Where there is no
   fork, the spawn fallback pickles the list once per worker start.)
-* **Graceful degradation** — ``workers <= 1``, a failed pool start, or
-  every worker dying falls back to the serial in-process path with the
-  same retry semantics; the sweep always completes.
+* **Graceful degradation** — ``workers <= 1``, a failed pool start
+  (including a task list the spawn fallback cannot pickle), or every
+  worker dying falls back to the serial in-process path with the same
+  retry semantics; the sweep always completes.
 * **One supervisor core** — workers are started, given their share of
   the cores, ended with a dead supervisor and shut down by
   :mod:`repro.runtime.supervisor`, which the serving fleet shares.
@@ -50,6 +51,7 @@ directly, once.
 from __future__ import annotations
 
 import heapq
+import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -252,7 +254,10 @@ class WorkerPool:
             child = self._supervisor.spawn(
                 _worker_main, (self._tasks,), f"repro-pool-{self._next_worker_id}"
             )
-        except OSError as exc:
+        except (OSError, pickle.PicklingError, AttributeError, TypeError) as exc:
+            # OSError: no pipe or process.  The rest: the spawn fallback
+            # could not pickle the task list (a lambda, a local function, a
+            # lock), which fails this start as surely as a missing process.
             _log.warning("worker spawn failed: %s", exc)
             return None
         self._next_worker_id += 1

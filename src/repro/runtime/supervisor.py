@@ -108,7 +108,8 @@ class Supervisor:
     def spawn(self, target: Callable, args: tuple, name: str) -> Child:
         """Start ``target(conn, *args)`` in a daemon child process.
 
-        Raises ``OSError`` when the pipe or the process cannot be made.
+        Raises ``OSError`` when the pipe or the process cannot be made;
+        under spawn, also what pickling ``args`` raises.
         """
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(

@@ -204,6 +204,16 @@ def test_journal_tail_skips_mid_file_garbage(populated):
     assert again["next_offset"] == 4
 
 
+def test_journal_tail_skips_lines_that_are_not_objects(populated):
+    with open(populated.journal_path, "a") as handle:
+        handle.write("12\n")
+        handle.write(json.dumps({"key": "fig9", "status": "done"}) + "\n")
+        handle.write("[]")  # unterminated: left for the next poll
+    tail = populated.journal_tail()
+    assert [e["key"] for e in tail["entries"]] == ["fig7", "fig8", "fig9"]
+    assert tail["done"] == 2 and tail["next_offset"] == 4
+
+
 def test_journal_tail_missing_file(tmp_path):
     data = DashboardData(journal_path=tmp_path / "absent.jsonl")
     tail = data.journal_tail()

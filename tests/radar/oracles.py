@@ -6,6 +6,9 @@
   synthesis.
 * :func:`add_thermal_noise_reference` draws each frame's noise inside a
   frame loop, the per-frame twin of the batched ``add_thermal_noise``.
+* :func:`unit_phasor_reference` reduces carrier phases with
+  ``np.remainder``, as the simulator's ``_unit_phasor`` did before it
+  switched to ``x - floor(x)``.
 * :func:`rdi_sequence_reference` is the per-frame float64 RDI chain
   (:func:`rdi_frame`, :func:`doppler_fft`) the batched ``rdi_sequence``
   and ``doppler_fft_sequence`` are pinned to.
@@ -106,6 +109,17 @@ def add_thermal_noise_reference(
     return np.stack(
         [frame + complex_awgn(frame.shape, sigma, rng) for frame in cube]
     )
+
+
+def unit_phasor_reference(arg_cycles: np.ndarray) -> np.ndarray:
+    """``exp(-2j pi arg)`` as complex64, the phase reduced by ``np.remainder``."""
+    phi = np.remainder(arg_cycles, 1.0).astype(np.float32)
+    phi *= np.float32(-2.0 * np.pi)
+    out = np.empty(phi.shape, dtype=np.complex64)
+    view = out.view(np.float32).reshape(phi.shape + (2,))
+    np.cos(phi, out=view[..., 0])
+    np.sin(phi, out=view[..., 1])
+    return out
 
 
 def doppler_fft(range_profile: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ from repro.radar import (
     angle_fft,
     range_fft,
 )
+from repro.radar.simulator import _unit_phasor
 
-from .oracles import frame_cube_exact
+from .oracles import frame_cube_exact, unit_phasor_reference
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +244,17 @@ def test_facet_budget_does_not_change_simulation(simulator, monkeypatch):
     monkeypatch.setenv("REPRO_FACET_BUDGET", "262144")
     large_chunks = simulator.simulate_sequence(meshes)
     assert small_chunks.tobytes() == large_chunks.tobytes()
+
+
+def test_unit_phasor_matches_the_remainder_reduction_bit_for_bit():
+    uniforms = np.random.default_rng(0).uniform(-5e4, 5e4, 4096)
+    edges = np.array([
+        -0.0, 0.0, -1e-300, 1e-300, -0.5, 0.5, -1.0, 1.0, -3.0, 7.0,
+        -1.25, -2.75, 0.999999999, -0.999999999, 12345.678, -12345.678,
+        2.0**52, -(2.0**52), 2.0**52 + 1.0, 2.0**53, -(2.0**60), 1e300, -1e300,
+        np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), np.nextafter(0.0, -1.0),
+    ])
+    for arg in (uniforms, edges, edges.reshape(2, 13)):
+        fast, reference = _unit_phasor(arg), unit_phasor_reference(arg)
+        assert fast.dtype == reference.dtype == np.complex64
+        assert fast.tobytes() == reference.tobytes()

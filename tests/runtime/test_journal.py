@@ -138,6 +138,33 @@ def test_mid_file_garbage_is_skipped(tmp_path):
         resumed.close()
 
 
+@pytest.mark.parametrize("line", ["12", "[]", '"done"', "null"])
+def test_a_line_that_is_json_but_not_an_object_is_skipped(tmp_path, line):
+    path = tmp_path / "sweep.jsonl"
+    with SweepJournal.open(path, CAMPAIGN) as journal:
+        journal.record("a", "done")
+    lines = path.read_text().splitlines()
+    lines.insert(1, line)
+    path.write_text("\n".join(lines) + "\n")
+    with SweepJournal.open(path, CAMPAIGN, resume=True) as resumed:
+        assert resumed.completed_keys() == {"a"}
+
+
+def test_an_unterminated_last_line_that_is_not_an_object_is_dropped(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    with SweepJournal.open(path, CAMPAIGN) as journal:
+        journal.record("a", "done")
+    with open(path, "a") as handle:
+        handle.write("12")  # parses, but is no record
+    with SweepJournal.open(path, CAMPAIGN, resume=True) as journal:
+        journal.record("b", "done")
+    with SweepJournal.open(path, CAMPAIGN, resume=True) as resumed:
+        assert resumed.completed_keys() == {"a", "b"}
+    assert all(
+        isinstance(json.loads(line), dict) for line in path.read_text().splitlines()
+    )
+
+
 def test_missing_header_refuses_resume(tmp_path):
     path = tmp_path / "sweep.jsonl"
     path.write_text(json.dumps({"key": "a", "status": "done"}) + "\n")

@@ -274,6 +274,19 @@ class TestDegradation:
         assert [r.value for r in results] == [0, 1, 4]
         assert metrics().counter("pool.degraded").value == 1
 
+    def test_a_task_list_the_spawn_fallback_cannot_pickle_runs_serially(
+        self, monkeypatch
+    ):
+        # Without fork each worker start pickles the task list; a lambda
+        # fails every start, and the pool degrades instead of raising.
+        metrics().reset()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        results = run_tasks(
+            [PoolTask(key="lambda", fn=lambda: 7)], PoolConfig(workers=2, retry=FAST_RETRY)
+        )
+        assert results[0].ok and results[0].value == 7
+        assert metrics().counter("pool.degraded").value == 1
+
 
 class TestTelemetry:
     def test_attempt_spans_recorded(self):

@@ -19,6 +19,7 @@ from repro.bench import (
     validate_bench_result,
     write_bench_result,
 )
+from repro.runtime.heap import keep_heap_mapped
 from repro.runtime.threads import blas_threads
 
 
@@ -87,6 +88,7 @@ def test_meta_block_labels_the_result(bench_result):
     assert meta["cpu_count"] >= 1
     assert len(meta["date"]) == 10  # YYYY-MM-DD
     assert meta["git_sha"] and meta["hostname"]
+    assert meta["heap"] == keep_heap_mapped()
     broken = {k: v for k, v in bench_result.items() if k != "meta"}
     with pytest.raises(ValueError, match="meta"):
         validate_bench_result(broken)
