@@ -12,5 +12,5 @@ def test_sec7_defenses(ctx, run_once):
     print(format_defense(result))
     # The detector must beat coin flipping, and augmentation must not
     # destroy clean accuracy.
-    assert result.detector_report.auc > 0.5
+    assert result.detector.auc > 0.5
     assert result.cdr_with_augmentation > 1.0 / 6.0

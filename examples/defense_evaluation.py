@@ -52,7 +52,7 @@ def main() -> None:
     drop = result.asr_without_defense - result.asr_with_augmentation
     print(f"\nAugmentation removed {drop:+.1%} of attack success while "
           f"keeping clean accuracy at {result.cdr_with_augmentation:.1%}.")
-    print(f"Detector AUC {result.detector_report.auc:.3f}: "
+    print(f"Detector AUC {result.detector.auc:.3f}: "
           "reflector returns are separable from clean gestures once the "
           "subject position is canonicalized out.")
 

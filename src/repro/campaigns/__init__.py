@@ -23,8 +23,6 @@ from .records import (
     CAMPAIGN_RECORD_SCHEMA_VERSION,
     CampaignRecord,
     format_campaign_record,
-    list_campaign_records,
-    load_campaign_record,
     write_campaign_record,
 )
 from .runner import (
@@ -54,9 +52,7 @@ __all__ = [
     "config_digest",
     "expand_cells",
     "format_campaign_record",
-    "list_campaign_records",
     "load_campaign",
-    "load_campaign_record",
     "parse_campaign",
     "run_experiment",
     "write_campaign_record",

@@ -1,4 +1,4 @@
-"""CLI verbs for declarative campaigns: ``repro campaign run|validate|list|show``.
+"""CLI verbs for declarative campaigns: ``repro campaign run|validate``.
 
 Composed into the main parser the same way the serving and dashboard
 verbs are (``add_campaign_arguments`` + a ``run_campaign_command``
@@ -9,22 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import signal
-from pathlib import Path
 
 from ..runtime.errors import (
     CampaignConfigError,
     JournalError,
     JournalMismatchError,
 )
-from ..runtime.records import default_runs_dir, format_run_listing
 from ..runtime.telemetry import metrics, telemetry
 from .config import config_digest, expand_cells, load_campaign
-from .records import (
-    format_campaign_record,
-    latest_campaign_record_path,
-    list_campaign_records,
-    load_campaign_record,
-)
+from .records import format_campaign_record
 from .runner import CampaignRunner
 
 
@@ -59,27 +52,12 @@ def add_campaign_arguments(subparsers) -> None:
     )
     validate.add_argument("config", metavar="CONFIG.toml")
 
-    listing = verbs.add_parser(
-        "list", help="list campaign records in the runs directory"
-    )
-    listing.add_argument("--runs-dir", metavar="DIR", default=None)
-    listing.add_argument("--last", type=int, default=None, metavar="N")
-
-    show = verbs.add_parser(
-        "show", help="pretty-print a campaign record (latest by default)"
-    )
-    show.add_argument("record", nargs="?", default=None, metavar="PATH",
-                      help="record file (default: newest campaign record)")
-    show.add_argument("--runs-dir", metavar="DIR", default=None)
-
 
 def run_campaign_command(args, log) -> int:
     """Dispatch one ``repro campaign <verb>`` invocation."""
     handler = {
         "run": _run,
         "validate": _validate,
-        "list": _list,
-        "show": _show,
     }[args.campaign_command]
     return handler(args, log)
 
@@ -126,11 +104,10 @@ def _run(args, log) -> int:
         return 2
     if args.no_cache:
         config = dataclasses.replace(config, use_disk_cache=False)
-    runs_dir = Path(args.runs_dir) if args.runs_dir else default_runs_dir()
     runner = CampaignRunner(
         config,
         journal_path=args.journal,
-        runs_dir=runs_dir,
+        runs_dir=args.runs_dir,
         workers=args.workers,
     )
 
@@ -171,31 +148,6 @@ def _run(args, log) -> int:
         )
         return 130
     return 0 if outcome.all_ok else 1
-
-
-def _list(args, log) -> int:
-    directory = Path(args.runs_dir) if args.runs_dir else None
-    rows = list_campaign_records(directory, last=args.last)
-    print(format_run_listing(rows))
-    return 0 if rows else 1
-
-
-def _show(args, log) -> int:
-    if args.record:
-        path = Path(args.record)
-    else:
-        directory = Path(args.runs_dir) if args.runs_dir else None
-        path = latest_campaign_record_path(directory)
-        if path is None:
-            log.error("no campaign records found")
-            return 1
-    try:
-        record = load_campaign_record(path)
-    except (OSError, ValueError) as exc:
-        log.error("cannot read campaign record %s: %s", path, exc)
-        return 1
-    print(format_campaign_record(record))
-    return 0
 
 
 def _install_signal_handlers(log) -> dict:

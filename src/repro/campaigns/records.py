@@ -1,26 +1,23 @@
-"""Atomic, schema-versioned campaign records.
+"""Schema-versioned campaign records.
 
-One JSON file per campaign run, written with the same write-then-rename
-pattern run records use, aggregating every cell's terminal outcome plus
-a provenance meta block (git SHA, config digest, cpu count, hostname —
-the BENCH v4 pattern).  Records carry ``"kind": "campaign"`` so the
-shared runs directory can hold run records and campaign records side by
-side: ``repro stats --list --campaign`` and the dashboard's
-``/api/campaigns`` filter on that marker instead of skipping the files
-as foreign JSON.
+One JSON file per campaign run, aggregating every cell's terminal
+outcome plus a provenance meta block (git SHA, config digest, cpu count,
+hostname — the BENCH v4 pattern).  Records carry ``"kind": "campaign"``
+and share the runs directory, the atomic writer and the schema-checked
+loader of run records (:mod:`repro.runtime.records`): ``repro stats
+--list --campaign`` lists them, ``repro stats PATH`` renders one, and
+the dashboard's ``/api/campaigns`` filters on the same marker.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..runtime.records import default_runs_dir, git_revision
-from ..runtime.telemetry import write_text_atomic
+from ..runtime.records import git_revision, write_run_record
 from ..runtime.threads import blas_threads, usable_cores
 
 #: Bump when the record layout changes; other versions are refused.
@@ -66,50 +63,12 @@ class CampaignRecord:
 def write_campaign_record(
     record: CampaignRecord, directory: "Path | None" = None
 ) -> Path:
-    """Atomically persist ``record``; returns the path written."""
-    directory = Path(directory) if directory is not None else default_runs_dir()
-    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in record.name)
-    path = directory / f"{record.timestamp}-campaign-{safe}.json"
-    counter = 1
-    while path.exists():
-        path = directory / f"{record.timestamp}-campaign-{safe}.{counter}.json"
-        counter += 1
-    payload = json.dumps(asdict(record), indent=2, sort_keys=True, default=str)
-    return write_text_atomic(path, payload + "\n")
+    """Atomically persist ``record``; returns the path written.
 
-
-def load_campaign_record(path: "str | os.PathLike") -> CampaignRecord:
-    """Read a record written by :func:`write_campaign_record`."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("kind") != "campaign":
-        raise ValueError(f"{path} is not a campaign record")
-    version = payload.get("schema_version")
-    if version != CAMPAIGN_RECORD_SCHEMA_VERSION:
-        raise ValueError(
-            f"campaign record {path} has schema version {version!r}, "
-            f"expected {CAMPAIGN_RECORD_SCHEMA_VERSION}"
-        )
-    known = set(CampaignRecord.__dataclass_fields__)
-    return CampaignRecord(
-        **{k: v for k, v in payload.items() if k in known}
-    )
-
-
-def list_campaign_records(
-    directory: "Path | None" = None, last: "int | None" = None
-) -> "list[dict]":
-    """Campaign-record summaries in the runs dir, oldest first."""
-    from ..runtime.records import list_run_records
-
-    return list_run_records(directory, kind="campaign", last=last)
-
-
-def latest_campaign_record_path(
-    directory: "Path | None" = None,
-) -> "Path | None":
-    rows = list_campaign_records(directory)
-    return Path(rows[-1]["path"]) if rows else None
+    The runner's one call into the shared record writer, kept under its
+    own name so a profiler can wrap the campaign's record write alone.
+    """
+    return write_run_record(record, directory)
 
 
 def format_campaign_record(record: CampaignRecord) -> str:

@@ -19,11 +19,12 @@ samples and victim fits over a pool as wide as
 run in-process in its workers, so a pool never nests in a pool.
 
 Cells return *metrics*, not formatted text: :func:`cell_payload` maps
-each runner's result dataclass to a JSON-able dict split into
-deterministic ``metrics`` (accuracy, ASR/UASR/CDR curves, defense
-verdicts — bit-reproducible functions of the seed) and wall-clock
-``measured`` values (throughput timings), so campaign cells can be
-pinned bit-identical against the hand-written runners.
+any runner's result dataclass, field by field, to a JSON-able dict split
+into deterministic ``metrics`` (accuracy, ASR/UASR/CDR curves, defense
+verdicts — bit-reproducible functions of the seed) and the wall-clock
+``measured`` fields (throughput timings), so campaign cells can be
+pinned bit-identical against the hand-written runners.  ``repro run``
+writes the same payload into its run record.
 """
 
 from __future__ import annotations
@@ -38,16 +39,7 @@ import numpy as np
 
 from ..datasets.activities import DISSIMILAR_SCENARIOS, SIMILAR_SCENARIOS
 from ..eval.experiments import (
-    AblationResult,
-    CleanPrototypeResult,
-    DefenseResult,
     ExperimentContext,
-    FrameImportanceExperimentResult,
-    RobustnessResult,
-    SpectralDefenseResult,
-    StealthResult,
-    SweepResult,
-    ThroughputResult,
     run_ablation,
     run_angle_robustness,
     run_clean_prototype,
@@ -195,115 +187,50 @@ def run_experiment(
     return EXPERIMENTS[name].runner(context)
 
 
-def _listed(value) -> object:
-    """NumPy arrays/scalars -> plain JSON-able Python values."""
-    if isinstance(value, np.ndarray):
+def _plain(value: Any) -> Any:
+    """A result value as plain JSON-able Python.
+
+    Dataclasses become dicts, NumPy arrays and scalars plain values, and
+    tuples lists, all the way down.
+    """
+    if dataclasses.is_dataclass(value):
+        return {
+            item.name: _plain(getattr(value, item.name))
+            for item in dataclasses.fields(value)
+        }
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     return value
 
 
 def cell_payload(result: Any) -> "dict[str, dict]":
     """``{"metrics": ..., "measured": ...}`` for one runner result.
 
+    Every field of the result dataclass maps through :func:`_plain`.
     ``metrics`` holds the deterministic outputs (pure functions of the
-    seed — what equivalence pins compare); ``measured`` holds wall-clock
-    quantities that legitimately differ between runs of the same seed.
+    seed — what equivalence pins compare); ``measured`` holds the fields
+    marked :data:`~repro.eval.experiments.WALL_CLOCK`, which
+    legitimately differ between runs of the same seed.
     """
-    if isinstance(result, ThroughputResult):
-        return {
-            "metrics": {
-                "num_virtual_antennas": result.num_virtual_antennas,
-                "num_frames": result.num_frames,
-            },
-            "measured": {
-                "seconds_per_pair_activity": result.seconds_per_pair_activity,
-                "seconds_per_activity": result.seconds_per_activity,
-            },
-        }
-    if isinstance(result, CleanPrototypeResult):
-        return {
-            "metrics": {
-                "accuracy": _listed(result.accuracy),
-                "confusion": _listed(result.confusion),
-                "history_epochs": result.history_epochs,
-            },
-            "measured": {},
-        }
-    if isinstance(result, FrameImportanceExperimentResult):
-        return {
-            "metrics": {
-                "histogram": _listed(result.histogram),
-                "mean_importance": _listed(result.mean_importance),
-                "num_samples": result.num_samples,
-            },
-            "measured": {},
-        }
-    if isinstance(result, StealthResult):
-        return {
-            "metrics": {
-                "deviation": {k: _listed(v) for k, v in result.deviation.items()}
-            },
-            "measured": {},
-        }
-    if isinstance(result, SweepResult):
-        return {
-            "metrics": {
-                "parameter_name": result.parameter_name,
-                "parameter_values": _listed(list(result.parameter_values)),
-                "curves": {
-                    label: [point.as_dict() for point in points]
-                    for label, points in result.curves.items()
-                },
-            },
-            "measured": {},
-        }
-    if isinstance(result, RobustnessResult):
-        return {
-            "metrics": {
-                "parameter_name": result.parameter_name,
-                "parameter_values": _listed(list(result.parameter_values)),
-                "seen_mask": list(result.seen_mask),
-                "asr": _listed(list(result.asr)),
-                "uasr": _listed(list(result.uasr)),
-            },
-            "measured": {},
-        }
-    if isinstance(result, AblationResult):
-        return {
-            "metrics": {
-                "rows": [[name, _listed(value)] for name, value in result.rows]
-            },
-            "measured": {},
-        }
-    if isinstance(result, DefenseResult):
-        return {
-            "metrics": {
-                "detector": dataclasses.asdict(result.detector_report),
-                "asr_without_defense": _listed(result.asr_without_defense),
-                "asr_with_augmentation": _listed(result.asr_with_augmentation),
-                "cdr_with_augmentation": _listed(result.cdr_with_augmentation),
-            },
-            "measured": {},
-        }
-    if isinstance(result, SpectralDefenseResult):
-        return {
-            "metrics": {
-                key: _listed(value)
-                for key, value in dataclasses.asdict(result).items()
-            },
-            "measured": {},
-        }
     # Stubbed runners in tests may return plain dicts already in shape.
-    if isinstance(result, dict) and set(result) >= {"metrics"}:
+    if isinstance(result, dict) and "metrics" in result:
         return {
             "metrics": dict(result["metrics"]),
             "measured": dict(result.get("measured", {})),
         }
-    raise TypeError(
-        f"no campaign payload mapping for {type(result).__name__}"
-    )
+    if not dataclasses.is_dataclass(result) or isinstance(result, type):
+        raise TypeError(
+            f"no campaign payload mapping for {type(result).__name__}"
+        )
+    payload: "dict[str, dict]" = {"metrics": {}, "measured": {}}
+    for item in dataclasses.fields(result):
+        part = "measured" if item.metadata.get("wall_clock") else "metrics"
+        payload[part][item.name] = _plain(getattr(result, item.name))
+    return payload
 
 
 def _campaign_cell_task(

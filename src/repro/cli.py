@@ -7,6 +7,7 @@ Examples::
     python -m repro run fig8 --preset default --seed 1
     python -m repro run sec6d --trace trace.json --metrics metrics.jsonl
     python -m repro stats
+    python -m repro stats --list --campaign
     python -m repro campaign run examples/campaigns/all.toml --workers 2
     python -m repro campaign validate examples/campaigns/sec6d_tiny.toml
     python -m repro campaign run examples/campaigns/sec6d_tiny.toml --resume
@@ -36,11 +37,14 @@ wide as the cores this process may use (its affinity mask, so
 ``taskset`` bounds it); the printed rows are the same at any width.
 ``--verbose``/``--quiet`` control the pipeline's structured logs.
 
-Every ``run`` enables span tracing and writes a run record (config, metric
-snapshot, span aggregates, outcome) under ``runs/`` — ``repro stats``
-pretty-prints the most recent one.  ``--trace`` additionally exports a
-Chrome-tracing JSON (load it in ``chrome://tracing`` or ui.perfetto.dev)
-and ``--metrics`` a JSONL snapshot of every counter/gauge/histogram.
+Every ``run`` enables span tracing and writes a run record (config, the
+result's ``{metrics, measured}`` payload as a campaign cell records it,
+metric snapshot, span aggregates, outcome) under ``runs/`` — ``repro
+stats [PATH]`` pretty-prints a run or campaign record, the most recent
+by default, and ``repro stats --list`` lists them.  ``--trace``
+additionally exports a Chrome-tracing JSON (load it in
+``chrome://tracing`` or ui.perfetto.dev) and ``--metrics`` a JSONL
+snapshot of every counter/gauge/histogram.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .runtime.records import (
     latest_run_record_path,
     list_run_records,
     load_run_record,
-    summarize_run_record,
     write_run_record,
 )
 from .runtime.telemetry import metrics, telemetry
@@ -67,7 +70,8 @@ from .runtime.threads import usable_cores
 from .bench import format_bench_result, run_bench, write_bench_result
 
 from .campaigns.cli import add_campaign_arguments, run_campaign_command
-from .campaigns.runner import EXPERIMENTS, run_experiment
+from .campaigns.records import CampaignRecord, format_campaign_record
+from .campaigns.runner import EXPERIMENTS, cell_payload, run_experiment
 from .dashboard.cli import add_dashboard_arguments, run_dashboard
 from .serve.cli import add_serve_arguments, run_infer, run_publish, run_serve
 
@@ -116,9 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
                      "or REPRO_RUNS_DIR)")
 
     stats = subparsers.add_parser(
-        "stats", help="pretty-print the most recent run record "
-        "(or --list the runs directory)"
+        "stats", help="pretty-print a run or campaign record, the most "
+        "recent by default (or --list the runs directory)"
     )
+    stats.add_argument("record", nargs="?", default=None, metavar="PATH",
+                       help="record file (default: the newest in --runs-dir)")
     stats.add_argument("--runs-dir", metavar="DIR", default=None,
                        help="directory holding run records")
     stats.add_argument("--list", action="store_true", dest="list_records",
@@ -151,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _finalize_run(
-    args: argparse.Namespace, outcome: dict, log
+    args: argparse.Namespace, outcome: dict, log, payload: "dict | None" = None
 ) -> None:
     """Export telemetry and persist the run record after a ``run``."""
     tel = telemetry()
@@ -169,6 +175,7 @@ def _finalize_run(
             "seed": args.seed,
             "use_disk_cache": not args.no_cache,
         },
+        payload=payload or {},
         metrics=metrics().snapshot(),
         spans=tel.aggregate(),
         outcome=outcome,
@@ -229,20 +236,19 @@ def main(argv: "list[str] | None" = None) -> int:
         ):
             if value is not None:
                 log.warning("%s only applies with --list; ignoring", flag)
-        path = latest_run_record_path(directory)
+        path = Path(args.record) if args.record else latest_run_record_path(directory)
         if path is None:
             log.error("no run records found")
             return 1
-        summary = summarize_run_record(path)
-        if summary is not None and summary.get("kind") == "campaign":
-            from .campaigns.records import (
-                format_campaign_record,
-                load_campaign_record,
-            )
-
-            print(format_campaign_record(load_campaign_record(path)))
-            return 0
-        print(format_run_record(load_run_record(path)))
+        try:
+            record = load_run_record(path, RunRecord, CampaignRecord)
+        except (OSError, ValueError) as exc:
+            log.error("cannot read record %s: %s", path, exc)
+            return 1
+        if isinstance(record, CampaignRecord):
+            print(format_campaign_record(record))
+        else:
+            print(format_run_record(record))
         return 0
 
     tel = telemetry()
@@ -269,6 +275,7 @@ def _run_experiment(args: argparse.Namespace, log) -> int:
                 use_disk_cache=not args.no_cache, workers=usable_cores(),
             )
             print(experiment.formatter(result))
+            payload = cell_payload(result)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         log.error("experiment %s failed after %.1fs", name, timer.duration_s)
         traceback.print_exc()
@@ -279,7 +286,7 @@ def _run_experiment(args: argparse.Namespace, log) -> int:
         return 1
     print(f"--- {name} done in {timer.duration_s:.1f}s ---\n")
     outcome = {"name": name, "ok": True, "wall_time_s": timer.duration_s}
-    _finalize_run(args, {"status": "ok", "experiments": [outcome]}, log)
+    _finalize_run(args, {"status": "ok", "experiments": [outcome]}, log, payload)
     return 0
 
 

@@ -13,7 +13,7 @@ read-only and artifact-facing:
 ``GET /api/runs/<file>``
     One record's full JSON by bare filename.
 ``GET /api/campaigns?last=N``
-    Campaign-record listing (``repro campaign list``'s view).
+    Campaign-record listing (``repro stats --list --campaign``'s view).
 ``GET /api/campaigns/<file>``
     One campaign record plus a derived experiment x seed cell matrix.
 ``GET /api/bench/trajectory``

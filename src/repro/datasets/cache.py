@@ -32,7 +32,6 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 import zipfile
 import zlib
 from pathlib import Path
@@ -43,7 +42,7 @@ from ..runtime.backoff import TRANSIENT_IO_POLICY, retry_call
 from ..runtime.errors import CacheCorruptionError
 from ..runtime.guards import all_finite
 from ..runtime.logging import get_logger
-from ..runtime.telemetry import FILE_MODE, metrics, span
+from ..runtime.telemetry import metrics, span, write_atomic
 from .dataset import HeatmapDataset, SampleMeta
 
 _log = get_logger("datasets.cache")
@@ -93,7 +92,6 @@ def save_dataset(dataset: HeatmapDataset, path: "str | os.PathLike") -> Path:
     Returns the normalized archive path actually written.
     """
     path = _normalize_archive_path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     meta_json = json.dumps(
         [
             {name: getattr(m, name) for name in _META_FIELDS}
@@ -106,29 +104,13 @@ def save_dataset(dataset: HeatmapDataset, path: "str | os.PathLike") -> Path:
             "checksum": _payload_checksum(dataset.x, dataset.y, meta_json),
         }
     )
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            os.fchmod(handle.fileno(), FILE_MODE)
-            np.savez(
-                handle,
-                x=dataset.x,
-                y=dataset.y,
-                meta=np.frombuffer(meta_json.encode(), dtype=np.uint8),
-                header=np.frombuffer(header.encode(), dtype=np.uint8),
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_atomic(path, lambda handle: np.savez(
+        handle,
+        x=dataset.x,
+        y=dataset.y,
+        meta=np.frombuffer(meta_json.encode(), dtype=np.uint8),
+        header=np.frombuffer(header.encode(), dtype=np.uint8),
+    ))
 
 
 def load_dataset(path: "str | os.PathLike") -> HeatmapDataset:

@@ -6,8 +6,9 @@ pair pools — caching them in memory and on disk so that the 13 experiment
 runners (Figs. 3-15, Table I, Sections VI-D and VII) can share work.
 
 Experiment-to-paper mapping is listed in DESIGN.md; each runner returns a
-plain result object that the benchmark harness prints with
-:mod:`repro.eval.reporting`.
+plain result dataclass that ``repro run`` prints with
+:mod:`repro.eval.reporting` and that run and campaign records store
+field by field (:func:`repro.campaigns.runner.cell_payload`).
 
 A context of ``workers > 1`` spreads two kinds of independent work over a
 supervised process pool (:mod:`repro.runtime.pool`): the samples of each
@@ -22,7 +23,7 @@ spectral defense's two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +81,11 @@ TRAIN_ENVIRONMENT_SEED = 100
 ATTACK_ENVIRONMENT_SEED = 200
 
 _log = get_logger("eval.experiments")
+
+#: ``field(metadata=WALL_CLOCK)`` marks a wall-clock result field: its
+#: value differs between runs of one seed, so records keep it under
+#: ``measured``, apart from the deterministic ``metrics``.
+WALL_CLOCK = {"wall_clock": True}
 
 
 @dataclass(frozen=True)
@@ -512,8 +518,6 @@ def run_frame_importance(
 @dataclass
 class StealthResult:
     deviation: "dict[str, float]"
-    clean_frame: np.ndarray
-    triggered_frame: np.ndarray
 
 
 def run_heatmap_stealth(
@@ -526,12 +530,7 @@ def run_heatmap_stealth(
     clean, triggered = ctx.attack_generator.generate_paired_sample(
         "clockwise", 1.2, 0.0, trigger_mesh
     )
-    middle = clean.shape[0] // 2
-    return StealthResult(
-        deviation=heatmap_deviation(clean, triggered),
-        clean_frame=clean[middle],
-        triggered_frame=triggered[middle],
-    )
+    return StealthResult(deviation=heatmap_deviation(clean, triggered))
 
 
 # ----------------------------------------------------------------------
@@ -764,8 +763,8 @@ def run_ablation(
 # ----------------------------------------------------------------------
 @dataclass
 class ThroughputResult:
-    seconds_per_pair_activity: float
-    seconds_per_activity: float
+    seconds_per_pair_activity: float = field(metadata=WALL_CLOCK)
+    seconds_per_activity: float = field(metadata=WALL_CLOCK)
     num_virtual_antennas: int
     num_frames: int
 
@@ -799,7 +798,7 @@ def run_simulator_throughput(ctx: ExperimentContext) -> ThroughputResult:
 # ----------------------------------------------------------------------
 @dataclass
 class DefenseResult:
-    detector_report: DetectionReport
+    detector: DetectionReport
     asr_without_defense: float
     asr_with_augmentation: float
     cdr_with_augmentation: float
@@ -844,7 +843,7 @@ def run_defenses(ctx: ExperimentContext) -> DefenseResult:
         hardened_model, triggered_test, ctx.clean_test, scenario.target_label
     )
     return DefenseResult(
-        detector_report=report,
+        detector=report,
         asr_without_defense=baseline.asr,
         asr_with_augmentation=hardened_metrics.asr,
         cdr_with_augmentation=hardened_metrics.cdr,

@@ -105,7 +105,7 @@ def format_throughput(result: ThroughputResult) -> str:
 def format_defense(result: DefenseResult) -> str:
     """Section VII defense summary."""
     return (
-        f"Trigger detector: {result.detector_report}\n"
+        f"Trigger detector: {result.detector}\n"
         f"Augmentation defense: ASR {result.asr_without_defense:.1%} -> "
         f"{result.asr_with_augmentation:.1%} "
         f"(CDR with defense: {result.cdr_with_augmentation:.1%})"

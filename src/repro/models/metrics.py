@@ -75,9 +75,6 @@ class AttackMetrics:
     uasr: float
     cdr: float
 
-    def as_dict(self) -> "dict[str, float]":
-        return {"asr": self.asr, "uasr": self.uasr, "cdr": self.cdr}
-
     def __str__(self) -> str:
         return f"ASR={self.asr:.1%} UASR={self.uasr:.1%} CDR={self.cdr:.1%}"
 

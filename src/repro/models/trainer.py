@@ -227,14 +227,6 @@ class Trainer:
         )
         return start_epoch, best_val, int(state["stale_epochs"])
 
-    @staticmethod
-    def _load_state_file(directory: Path) -> "dict | None":
-        state_path = directory / _STATE_FILE
-        if not state_path.exists():
-            return None
-        with open(state_path) as handle:
-            return json.load(handle)
-
     # ------------------------------------------------------------------
     # Fit
     # ------------------------------------------------------------------

@@ -8,11 +8,10 @@ resume path expects a valid one.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
-from ..runtime.telemetry import FILE_MODE
+from ..runtime.telemetry import write_atomic
 from .layers import Module
 
 
@@ -25,24 +24,10 @@ def _normalize(path: str | os.PathLike) -> str:
 
 def save_arrays(arrays: dict, path: str | os.PathLike) -> None:
     """Atomically write a ``name -> ndarray`` mapping to an ``.npz`` file."""
-    path = _normalize(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            os.fchmod(handle.fileno(), FILE_MODE)
-            # npz keys cannot contain '/' reliably across loaders; '.' is fine.
-            np.savez_compressed(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    # npz keys cannot contain '/' reliably across loaders; '.' is fine.
+    write_atomic(
+        _normalize(path), lambda handle: np.savez_compressed(handle, **arrays)
+    )
 
 
 def load_arrays(path: str | os.PathLike) -> dict:

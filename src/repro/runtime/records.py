@@ -1,13 +1,17 @@
 """Run records: one JSON file per ``repro run`` invocation.
 
 Every CLI run writes ``runs/<timestamp>-<name>.json`` capturing what was
-run (experiment, preset, seed, git revision), what the metrics registry
-counted, where the time went (span aggregates), and how it ended — so a
-two-hour sweep leaves an inspectable artifact instead of scrollback.
-``repro stats`` pretty-prints the latest record.
+run (experiment, preset, seed, git revision), what the experiment
+returned (its ``{metrics, measured}`` payload, the same mapping a
+campaign cell records), what the metrics registry counted, where the
+time went (span aggregates), and how it ended — so a two-hour sweep
+leaves an inspectable artifact instead of scrollback.  ``repro stats
+[PATH]`` pretty-prints one record, the latest by default.
 
-Records are written with the same write-then-rename pattern the dataset
-cache uses, so an interrupted run never leaves a truncated record.
+Campaign records (:mod:`repro.campaigns.records`) share the runs
+directory, :func:`write_run_record` and :func:`load_run_record`: one
+timestamped file name, one atomic write, one schema check.  A record's
+``kind`` (``run`` unless the class says otherwise) tells them apart.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import json
 import os
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from .telemetry import quantile_from_buckets, write_text_atomic
 
@@ -31,9 +36,14 @@ RUN_RECORD_SCHEMA_VERSION = 1
 class RunRecord:
     """Everything worth keeping about one experiment invocation."""
 
+    #: Not written: a file without a ``kind`` key is a run record.
+    kind: ClassVar[str] = "run"
+
     name: str
     timestamp: str = ""
     config: dict = field(default_factory=dict)
+    #: ``{"metrics": ..., "measured": ...}`` of the experiment's result.
+    payload: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     spans: dict = field(default_factory=dict)
     outcome: dict = field(default_factory=dict)
@@ -69,35 +79,51 @@ def default_runs_dir() -> Path:
     return Path(env) if env else Path("runs")
 
 
-def write_run_record(record: RunRecord, directory: "Path | None" = None) -> Path:
-    """Atomically persist ``record``; returns the path written.
+def write_run_record(record, directory: "str | Path | None" = None) -> Path:
+    """Atomically persist a run or campaign record; returns the path written.
 
-    The filename is ``<timestamp>-<name>.json`` with a numeric suffix when
-    two records of the same experiment land within one second.
+    The filename is ``<timestamp>-<name>.json`` (``<kind>-<name>`` for
+    kinds other than ``run``) with a numeric suffix when two records of
+    the same name land within one second.
     """
     directory = Path(directory) if directory is not None else default_runs_dir()
-    safe_name = "".join(c if c.isalnum() or c in "-_" else "_" for c in record.name)
-    path = directory / f"{record.timestamp}-{safe_name}.json"
+    stem = "".join(c if c.isalnum() or c in "-_" else "_" for c in record.name)
+    if record.kind != RunRecord.kind:
+        stem = f"{record.kind}-{stem}"
+    path = directory / f"{record.timestamp}-{stem}.json"
     counter = 1
     while path.exists():
-        path = directory / f"{record.timestamp}-{safe_name}.{counter}.json"
+        path = directory / f"{record.timestamp}-{stem}.{counter}.json"
         counter += 1
     payload = json.dumps(asdict(record), indent=2, sort_keys=True, default=str)
     return write_text_atomic(path, payload + "\n")
 
 
-def load_run_record(path: "str | os.PathLike") -> RunRecord:
-    """Read a record written by :func:`write_run_record`."""
+def load_run_record(path: "str | os.PathLike", *record_types: type):
+    """Read a record written by :func:`write_run_record`.
+
+    ``record_types`` are the record classes the caller accepts (default
+    :class:`RunRecord`); the file's ``kind`` picks one.  Another kind or
+    a schema version other than the class's raises ``ValueError``;
+    unknown extra keys are dropped.
+    """
     with open(path) as handle:
         payload = json.load(handle)
+    record_types = record_types or (RunRecord,)
+    kind = payload.get("kind", RunRecord.kind) if isinstance(payload, dict) else None
+    matches = [cls for cls in record_types if cls.kind == kind]
+    if not matches:
+        kinds = " or ".join(cls.kind for cls in record_types)
+        raise ValueError(f"{path} is not a {kinds} record")
+    record_type = matches[0]
     version = payload.get("schema_version")
-    if version != RUN_RECORD_SCHEMA_VERSION:
+    if version != record_type.schema_version:
         raise ValueError(
-            f"run record {path} has schema version {version!r}, "
-            f"expected {RUN_RECORD_SCHEMA_VERSION}"
+            f"{kind} record {path} has schema version {version!r}, "
+            f"expected {record_type.schema_version}"
         )
-    known = {f for f in RunRecord.__dataclass_fields__}
-    return RunRecord(**{k: v for k, v in payload.items() if k in known})
+    known = {item.name for item in fields(record_type)}
+    return record_type(**{k: v for k, v in payload.items() if k in known})
 
 
 def latest_run_record_path(directory: "Path | None" = None) -> "Path | None":
@@ -214,6 +240,13 @@ def format_run_record(record: RunRecord) -> str:
             f"{key}={config[key]}" for key in interesting if key in config
         )
         lines.append(f"  config       {summary or '(see record file)'}")
+    if record.payload:
+        lines.append("  result:")
+        for part in ("metrics", "measured"):
+            for key, value in (record.payload.get(part) or {}).items():
+                text = json.dumps(value)
+                text = text if len(text) <= 60 else text[:57] + "..."
+                lines.append(f"    {key:<36} {text}")
     if record.metrics:
         lines.append("  metrics:")
         for name, snap in sorted(record.metrics.items()):

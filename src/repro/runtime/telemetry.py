@@ -33,6 +33,7 @@ import threading
 import time
 from bisect import bisect_left
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 __all__ = [
     "Counter",
@@ -422,14 +423,25 @@ FILE_MODE = 0o666 & ~_UMASK
 DIR_MODE = 0o777 & ~_UMASK
 
 
-def write_text_atomic(path: Path, text: str) -> Path:
-    """Write-then-rename so a crash never leaves a truncated file."""
+def write_atomic(
+    path: "str | os.PathLike", write: "Callable[[BinaryIO], object]"
+) -> Path:
+    """Write-then-rename so a crash never leaves a truncated file.
+
+    ``write(handle)`` fills a temp file in ``path``'s directory.  The
+    temp file gets :data:`FILE_MODE`, is flushed and fsynced, and only
+    then replaces ``path``; on any failure it is unlinked.  The text,
+    checkpoint and dataset writers all go through here.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), FILE_MODE)
-            handle.write(text)
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -438,6 +450,11 @@ def write_text_atomic(path: Path, text: str) -> Path:
             pass
         raise
     return path
+
+
+def write_text_atomic(path: "str | os.PathLike", text: str) -> Path:
+    """:func:`write_atomic` for a UTF-8 text file."""
+    return write_atomic(path, lambda handle: handle.write(text.encode()))
 
 
 class Telemetry:

@@ -25,7 +25,7 @@ The serving stack has six layers, each usable on its own:
 ``repro.serve.trace``
     Request identity: ``X-Repro-Request-Id`` minting/propagation, the
     JSONL access log (one line per response with per-stage span
-    timings), and a Chrome-trace exporter over it.
+    timings).
 ``repro.serve.chaos``
     The fault-drill harness: kill -9 / hang / slow a replica under
     load and assert the fleet's recovery SLO.
@@ -46,7 +46,6 @@ from .registry import LoadedModel, ModelRegistry, REGISTRY_SCHEMA_VERSION
 from .trace import (
     REQUEST_ID_HEADER,
     AccessLog,
-    export_chrome_trace_from_access_log,
     new_request_id,
     normalize_request_id,
     read_access_log,
@@ -70,7 +69,6 @@ __all__ = [
     "ServerConfig",
     "assert_recovery",
     "build_server",
-    "export_chrome_trace_from_access_log",
     "fetch_json",
     "new_request_id",
     "normalize_request_id",

@@ -459,7 +459,7 @@ class ReplicaFleet:
     """N crash-isolated engine replicas behind one ``submit()`` front door.
 
     Engine-compatible surface: ``start()`` / ``stop()`` / context manager,
-    ``submit()``, ``queue_depth()``, ``warm()``, ``replica_states()``, and
+    ``submit()``, ``queue_depth()``, ``replica_states()``, and
     a ``registry`` attribute — so :class:`~repro.serve.http.InferenceServer`
     fronts a fleet exactly like a single engine — plus ``submit_body()``,
     which the front door uses for a plainly shaped request body.
@@ -575,16 +575,6 @@ class ReplicaFleet:
                 with replica.lock:
                     total += len(replica.inflight)
         return total
-
-    def warm(self, ref: str = "latest"):
-        """Broadcast a pre-warm of ``ref``; returns the resolved manifest id."""
-        model_id = self.registry.resolve(ref)
-        for replica in self._live_replicas():
-            try:
-                replica.child.send(("warm", model_id))
-            except (OSError, BrokenPipeError):
-                continue
-        return model_id
 
     def replica_states(self) -> "list[dict]":
         return [

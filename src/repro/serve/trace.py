@@ -15,9 +15,7 @@ fan-out).
 The access log is the serving twin of the pipeline's run records: where
 a run record summarizes one sweep, the access log explains one request —
 "why was request ``a3f1…`` slow" decomposes into which stage ate the
-time.  :func:`export_chrome_trace_from_access_log` re-renders the stage
-timelines as ``chrome://tracing`` complete events so a load test's
-latency distribution can be eyeballed on a timeline.
+time.
 """
 
 from __future__ import annotations
@@ -29,13 +27,11 @@ import uuid
 from pathlib import Path
 
 from ..runtime.logging import get_logger
-from ..runtime.telemetry import write_text_atomic
 
 __all__ = [
     "AccessLog",
     "REQUEST_ID_HEADER",
     "SPAN_STAGES",
-    "export_chrome_trace_from_access_log",
     "new_request_id",
     "normalize_request_id",
     "read_access_log",
@@ -139,44 +135,3 @@ def read_access_log(path: "str | os.PathLike") -> "list[dict]":
         except ValueError:
             _log.debug("skipping unparseable access log line: %r", line[:80])
     return entries
-
-
-def export_chrome_trace_from_access_log(
-    path: "str | os.PathLike", output: "str | os.PathLike"
-) -> Path:
-    """Access log -> ``chrome://tracing`` JSON of per-request stage spans.
-
-    Each logged request becomes one row (``tid`` = request id) whose
-    stage durations are laid out back-to-back in :data:`SPAN_STAGES`
-    order starting at the request's wall-clock timestamp, so concurrent
-    requests line up on a shared timeline and batch-wait pile-ups are
-    visible as aligned stalls.
-    """
-    entries = [e for e in read_access_log(path) if e.get("spans_ms")]
-    base_ts = min((float(e.get("ts", 0.0)) for e in entries), default=0.0)
-    events = []
-    for index, entry in enumerate(entries):
-        cursor_us = (float(entry.get("ts", base_ts)) - base_ts) * 1e6
-        for stage in SPAN_STAGES:
-            duration_ms = entry["spans_ms"].get(stage)
-            if duration_ms is None:
-                continue
-            events.append({
-                "name": f"request.{stage}",
-                "cat": "serve",
-                "ph": "X",
-                "ts": cursor_us,
-                "dur": float(duration_ms) * 1e3,
-                "pid": 1,
-                "tid": index + 1,
-                "args": {
-                    "request_id": entry.get("id"),
-                    "status": entry.get("status"),
-                    "model": entry.get("model"),
-                    "replica": entry.get("replica"),
-                    "batch_size": entry.get("batch_size"),
-                },
-            })
-            cursor_us += float(duration_ms) * 1e3
-    payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    return write_text_atomic(Path(output), json.dumps(payload))

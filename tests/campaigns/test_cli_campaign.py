@@ -82,7 +82,7 @@ def test_validate_rejects_empty_grid(tmp_path):
     assert cli.main(["campaign", "validate", str(path)]) == 2
 
 
-# -- run / list / show / stats ------------------------------------------
+# -- run / stats --------------------------------------------------------
 
 def test_run_list_show_and_stats_roundtrip(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(
@@ -99,21 +99,20 @@ def test_run_list_show_and_stats_roundtrip(tmp_path, capsys, monkeypatch):
     records = list(runs_dir.glob("*-campaign-cli-demo.json"))
     assert len(records) == 1
 
-    assert cli.main(["campaign", "list", "--runs-dir", str(runs_dir)]) == 0
+    # `repro stats` is the one viewer: --list --campaign lists campaign
+    # records, a PATH shows that record, and no PATH shows the newest.
+    assert cli.main([
+        "stats", "--list", "--campaign", "--runs-dir", str(runs_dir),
+    ]) == 0
     out = capsys.readouterr().out
     assert "cli-demo" in out and "campaign" in out
 
-    assert cli.main(["campaign", "show", "--runs-dir", str(runs_dir)]) == 0
+    assert cli.main(["stats", str(records[0])]) == 0
     out = capsys.readouterr().out
     assert "campaign record: cli-demo" in out
     assert "cell-0001-sec6d-s1" in out
 
-    # satellite: stats recognizes campaign records instead of skipping
-    # them, and --campaign filters the listing down to them.
     monkeypatch.setenv("REPRO_RUNS_DIR", str(runs_dir))
-    assert cli.main(["stats", "--list", "--campaign"]) == 0
-    out = capsys.readouterr().out
-    assert "cli-demo" in out
     assert cli.main(["stats"]) == 0
     out = capsys.readouterr().out
     assert "campaign record: cli-demo" in out
@@ -206,14 +205,16 @@ def test_unreadable_journal_logs_its_cause_not_a_mismatch(tmp_path, capsys):
     assert "different campaign" not in logged
 
 
-def test_show_missing_record_errors(tmp_path):
-    assert cli.main([
-        "campaign", "show", "--runs-dir", str(tmp_path),
-    ]) == 1
+def test_show_missing_record_errors(tmp_path, capsys):
+    assert cli.main(["stats", "--runs-dir", str(tmp_path)]) == 1
+    assert cli.main(["stats", str(tmp_path / "missing.json")]) == 1
+    assert "cannot read record" in capsys.readouterr().err
 
 
 def test_list_empty_runs_dir_exit_code(tmp_path, capsys):
-    assert cli.main(["campaign", "list", "--runs-dir", str(tmp_path)]) == 1
+    assert cli.main([
+        "stats", "--list", "--campaign", "--runs-dir", str(tmp_path),
+    ]) == 1
     assert "no run records found" in capsys.readouterr().out
 
 

@@ -8,12 +8,18 @@ from repro.campaigns import (
     CAMPAIGN_RECORD_SCHEMA_VERSION,
     CampaignRecord,
     format_campaign_record,
-    list_campaign_records,
-    load_campaign_record,
     write_campaign_record,
 )
-from repro.campaigns.records import latest_campaign_record_path
-from repro.runtime.records import RunRecord, list_run_records, write_run_record
+from repro.runtime.records import (
+    RunRecord,
+    list_run_records,
+    load_run_record,
+    write_run_record,
+)
+
+
+def load_campaign_record(path):
+    return load_run_record(path, CampaignRecord)
 
 
 def _record(name="demo", **extra):
@@ -75,16 +81,24 @@ def test_load_refuses_unknown_schema_version(tmp_path):
 
 def test_listing_separates_campaigns_from_runs(tmp_path):
     write_campaign_record(_record(), tmp_path)
-    write_run_record(RunRecord(name="fig7"), tmp_path)
-    campaigns = list_campaign_records(tmp_path)
+    run = write_run_record(RunRecord(name="fig7"), tmp_path)
+    campaigns = list_run_records(tmp_path, kind="campaign")
     assert len(campaigns) == 1
     assert campaigns[0]["name"] == "demo"
     assert campaigns[0]["kind"] == "campaign"
+    assert campaigns[0]["file"].endswith("-campaign-demo.json")
     # The generic lister sees both; the kind filter separates them.
     assert len(list_run_records(tmp_path)) == 2
     assert len(list_run_records(tmp_path, kind="run")) == 1
-    latest = latest_campaign_record_path(tmp_path)
-    assert latest is not None and latest.name.endswith("-campaign-demo.json")
+    # One loader reads both kinds, and refuses a kind it was not offered.
+    both = (RunRecord, CampaignRecord)
+    campaign = load_run_record(campaigns[0]["path"], *both)
+    assert isinstance(campaign, CampaignRecord) and campaign.name == "demo"
+    assert isinstance(load_run_record(run, *both), RunRecord)
+    with pytest.raises(ValueError, match="not a run record"):
+        load_run_record(campaigns[0]["path"])
+    with pytest.raises(ValueError, match="not a campaign record"):
+        load_campaign_record(run)
 
 
 def test_format_renders_cell_table():

@@ -73,7 +73,7 @@ def test_run_clean_prototype(ctx):
 def test_run_heatmap_stealth(ctx):
     result = run_heatmap_stealth(ctx)
     assert result.deviation["l2"] > 0.0
-    assert result.clean_frame.shape == result.triggered_frame.shape
+    assert 0.0 < result.deviation["max_abs"] <= 1.0  # heatmaps are in [0, 1]
 
 
 def test_run_injection_rate_sweep_structure(ctx):

@@ -83,7 +83,7 @@ def test_run_ablation_rows(ctx):
 
 def test_run_defenses(ctx):
     result = run_defenses(ctx)
-    assert 0.0 <= result.detector_report.auc <= 1.0
+    assert 0.0 <= result.detector.auc <= 1.0
     assert 0.0 <= result.asr_with_augmentation <= 1.0
     assert 0.0 <= result.cdr_with_augmentation <= 1.0
 

@@ -68,8 +68,6 @@ def test_format_histogram():
 def test_format_stealth():
     result = StealthResult(
         deviation={"l2": 1.5, "max_abs": 0.3, "relative_l2": 0.12},
-        clean_frame=np.zeros((4, 4)),
-        triggered_frame=np.zeros((4, 4)),
     )
     text = format_stealth(result)
     assert "0.3000" in text and "12.00%" in text
@@ -109,7 +107,7 @@ def test_format_throughput():
 
 def test_format_defense():
     result = DefenseResult(
-        detector_report=DetectionReport(0.9, 0.8, 0.05, 0.93),
+        detector=DetectionReport(0.9, 0.8, 0.05, 0.93),
         asr_without_defense=0.8,
         asr_with_augmentation=0.2,
         cdr_with_augmentation=0.85,

@@ -89,8 +89,3 @@ def test_mean_attack_metrics():
     assert mean.cdr == pytest.approx(0.9)
     with pytest.raises(ValueError):
         mean_attack_metrics([])
-
-
-def test_as_dict():
-    metrics = AttackMetrics(0.1, 0.2, 0.3)
-    assert metrics.as_dict() == {"asr": 0.1, "uasr": 0.2, "cdr": 0.3}

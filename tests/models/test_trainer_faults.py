@@ -26,6 +26,11 @@ def fresh_model(seed: int = 3) -> CNNLSTMClassifier:
     return CNNLSTMClassifier(MICRO_MODEL_CONFIG, np.random.default_rng(seed))
 
 
+def _state(checkpoint_dir) -> dict:
+    """The trainer's resume state, as its checkpoint directory holds it."""
+    return json.loads((checkpoint_dir / "trainer-state.json").read_text())
+
+
 # ----------------------------------------------------------------------
 # TrainingConfig validation
 # ----------------------------------------------------------------------
@@ -146,7 +151,7 @@ def test_checkpoints_written_every_epoch(micro_dataset, tmp_path):
     assert (ckpt / "last.npz").exists()
     assert (ckpt / "best.npz").exists()
     assert (ckpt / "optimizer.npz").exists()
-    state = Trainer._load_state_file(ckpt)
+    state = _state(ckpt)
     assert state["epoch"] == 1
     assert len(state["train_loss"]) == 2
 
@@ -164,7 +169,7 @@ def test_resume_continues_from_last_epoch(micro_dataset, tmp_path):
     assert resumed.resumed_from_epoch == 2
     assert resumed.num_epochs == 4  # 2 restored + 2 new
     assert resumed.train_loss[:2] == first.train_loss
-    state = Trainer._load_state_file(ckpt)
+    state = _state(ckpt)
     assert state["epoch"] == 3
     # With the Adam moments checkpointed (and no dropout/augmentation RNG
     # in the micro config), interruption must not change the trajectory:
@@ -212,7 +217,7 @@ def test_mid_epoch_crash_then_resume_completes(micro_dataset, tmp_path):
             micro_trainer(checkpoint_dir=ckpt, epochs=3).fit(
                 model, micro_dataset.x, micro_dataset.y
             )
-    state = Trainer._load_state_file(ckpt)
+    state = _state(ckpt)
     assert state["epoch"] == 0  # epoch 0 was checkpointed before the crash
 
     resumed = micro_trainer(checkpoint_dir=ckpt, epochs=3, resume=True).fit(
@@ -220,7 +225,7 @@ def test_mid_epoch_crash_then_resume_completes(micro_dataset, tmp_path):
     )
     assert resumed.resumed_from_epoch == 1
     assert resumed.num_epochs == 3
-    assert Trainer._load_state_file(ckpt)["epoch"] == 2
+    assert _state(ckpt)["epoch"] == 2
 
 
 def test_happy_path_history_unchanged_without_checkpointing(micro_dataset):

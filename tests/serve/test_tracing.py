@@ -1,4 +1,4 @@
-"""Request-id propagation, the access log, and the Chrome-trace export.
+"""Request-id propagation and the access log.
 
 The acceptance contract: every response (success and error, health
 probes included) carries an ``X-Repro-Request-Id`` header, and each id
@@ -17,7 +17,6 @@ from repro.serve import (
     REQUEST_ID_HEADER,
     ServerConfig,
     build_server,
-    export_chrome_trace_from_access_log,
     normalize_request_id,
     read_access_log,
 )
@@ -163,18 +162,3 @@ def test_access_log_line_is_written_before_the_response(
         _, _, headers = _request(server.url + path, body)
         logged = [entry["id"] for entry in read_access_log(log_path)]
         assert _header(headers) in logged, path
-
-
-def test_chrome_trace_export(traced_server, micro_dataset, tmp_path):
-    server, log_path = traced_server
-    for _ in range(2):
-        _request(server.url + "/v1/predict", _predict_body(micro_dataset))
-    out = export_chrome_trace_from_access_log(
-        log_path, tmp_path / "trace.json"
-    )
-    trace = json.loads(out.read_text())
-    events = trace["traceEvents"]
-    assert events and all(event["ph"] == "X" for event in events)
-    names = {event["name"] for event in events}
-    assert "request.predict" in names and "request.enqueue" in names
-    assert all(event["args"]["request_id"] for event in events)

@@ -73,9 +73,12 @@ def test_run_executes_experiment_end_to_end(capsys, monkeypatch, tmp_path):
     assert "sec6d" in out
     assert "IF simulation" in out
     assert "done in" in out
-    # Every run leaves a run record behind.
+    # Every run leaves a run record behind, holding what it printed.
     records = list((tmp_path / "runs").glob("*-sec6d.json"))
     assert len(records) == 1
+    payload = json.loads(records[0].read_text())["payload"]
+    assert payload["metrics"]["num_virtual_antennas"] > 0
+    assert payload["measured"]["seconds_per_activity"] > 0.0
 
 
 def test_run_exports_trace_metrics_and_record(capsys, monkeypatch, tmp_path):
@@ -142,6 +145,42 @@ def test_run_exports_trace_metrics_and_record(capsys, monkeypatch, tmp_path):
     assert "ok (1/1 experiments ok)" in out
 
 
+def test_run_record_payload_equals_the_campaign_cell(
+    capsys, monkeypatch, tmp_path
+):
+    """`repro run` records the same ``{metrics, measured}`` payload as a
+    campaign cell of the same experiment, preset and seed."""
+    import repro.cli as cli
+    from repro.campaigns import CampaignRunner, parse_campaign
+    from repro.campaigns import config as config_module
+    from repro.runtime.records import latest_run_record_path, load_run_record
+
+    monkeypatch.setattr(cli, "preset_by_name", lambda name: _micro_preset())
+    monkeypatch.setattr(
+        config_module, "preset_by_name", lambda name: _micro_preset()
+    )
+    runs_dir = tmp_path / "runs"
+    assert cli.main([
+        "run", "fig7", "--seed", "1", "--runs-dir", str(runs_dir),
+    ]) == 0
+    assert "Clean prototype accuracy" in capsys.readouterr().out
+    record = load_run_record(latest_run_record_path(runs_dir))
+
+    config = parse_campaign({
+        "campaign": "twin", "preset": "fast", "experiment": "fig7",
+        "seeds": [1],
+    })
+    outcome = CampaignRunner(
+        config, runs_dir=tmp_path / "campaign",
+        journal_path=tmp_path / "twin.jsonl",
+    ).run()
+    (cell,) = outcome.results
+    assert cell.status == "done"
+    assert record.payload["metrics"] == cell.metrics
+    assert record.payload == {"metrics": cell.metrics, "measured": cell.measured}
+    assert cell.metrics["confusion"]
+
+
 def test_run_failure_still_writes_record(capsys, monkeypatch, tmp_path):
     import repro.cli as cli
 
@@ -158,6 +197,7 @@ def test_run_failure_still_writes_record(capsys, monkeypatch, tmp_path):
     record = load_run_record(latest_run_record_path(runs_dir))
     assert record.outcome["status"] == "failed"
     assert "ValueError" in record.outcome["error"]
+    assert record.payload == {}
 
 
 def test_stats_without_records_errors(monkeypatch, tmp_path):
@@ -181,7 +221,9 @@ def stub_experiments(monkeypatch):
     """Add three instant stubs to the experiment table."""
     for name in ("stub1", "stub2", "stub3"):
         monkeypatch.setitem(EXPERIMENTS, name, Experiment(
-            f"{name} description", lambda ctx, name=name: f"{name} rows"
+            f"{name} description",
+            lambda ctx, name=name: {"metrics": {"rows": f"{name} rows"}},
+            lambda result: result["metrics"]["rows"],
         ))
     return EXPERIMENTS
 
@@ -210,7 +252,8 @@ def test_run_spreads_over_the_usable_cores(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "usable_cores", lambda: 3)
     monkeypatch.setitem(EXPERIMENTS, "stub", Experiment(
-        "width", lambda ctx: f"workers={ctx.workers}"
+        "width", lambda ctx: {"metrics": {"workers": ctx.workers}},
+        lambda result: f"workers={result['metrics']['workers']}",
     ))
     assert main(["run", "stub"]) == 0
     assert "workers=3" in capsys.readouterr().out
